@@ -10,7 +10,7 @@ import statistics
 
 from benchmarks.conftest import run_once
 from repro.experiments.common import load_suite
-from repro.partition.clustering import MultilevelConfig, multilevel_bipartition
+from repro.partition.multilevel import MultilevelConfig, vcycle_bipartition
 from repro.partition.fm import FMConfig, fm_bipartition
 
 SEEDS = (0, 1, 2)
@@ -27,13 +27,13 @@ def test_bench_multilevel(benchmark, circuits, scale):
                 for s in SEEDS
             )
             ml = statistics.mean(
-                multilevel_bipartition(
+                vcycle_bipartition(
                     sc.hg_relaxed, MultilevelConfig(seed=s)
                 ).cut_size
                 for s in SEEDS
             )
             ml_repl = statistics.mean(
-                multilevel_bipartition(
+                vcycle_bipartition(
                     sc.hg_relaxed,
                     MultilevelConfig(seed=s, replication_refine=True),
                 ).final_cut

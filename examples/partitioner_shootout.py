@@ -14,7 +14,7 @@ import time
 
 from repro import benchmark_circuit, build_hypergraph, technology_map
 from repro.partition.annealing import AnnealingConfig, annealing_bipartition
-from repro.partition.clustering import MultilevelConfig, multilevel_bipartition
+from repro.partition.multilevel import MultilevelConfig, vcycle_bipartition
 from repro.partition.fm import FMConfig, fm_bipartition
 from repro.partition.fm_replication import ReplicationConfig, replication_bipartition
 from repro.partition.spectral import SpectralConfig, spectral_bipartition
@@ -48,7 +48,7 @@ def main() -> None:
     )
     show(
         "multilevel FM [17]",
-        lambda: multilevel_bipartition(hg, MultilevelConfig(seed=1)).cut_size,
+        lambda: vcycle_bipartition(hg, MultilevelConfig(seed=1)).cut_size,
     )
     show(
         "FM + functional repl (DAC'94)",
@@ -58,7 +58,7 @@ def main() -> None:
     )
     show(
         "multilevel + functional repl",
-        lambda: multilevel_bipartition(
+        lambda: vcycle_bipartition(
             hg, MultilevelConfig(seed=1, replication_refine=True)
         ).final_cut,
         note="the paper's suggested combination",

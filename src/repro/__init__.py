@@ -9,7 +9,9 @@ Quick tour -- :mod:`repro.api` is the recommended entry point::
 
     from repro import api
 
-    result = api.partition("s5378", scale=0.5, threshold=1)
+    request = api.PartitionRequest(verb="partition", circuit="s5378",
+                                   scale=0.5, threshold=1)
+    result = api.run_request(request)
     result.solution.cost.total_cost            # the paper's eq. (1) objective
 
 The lower-level building blocks remain exported for direct use::

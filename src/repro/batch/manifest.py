@@ -19,9 +19,9 @@ list expands one entry into one :class:`BatchJob` per seed (a scalar
 ``seed`` is also accepted).  ``threshold`` accepts the paper's
 ``T = inf`` baseline as the string ``"inf"`` (strict JSON has no
 infinity literal).  Per-job ``deadline`` / ``max_retries`` / ``fallback``
-route each job through the resilient runner exactly as the
-``repro.api`` keyword arguments do -- and, like those, they are part of
-the job's cache identity.
+route each job through the resilient runner exactly as the same
+:class:`~repro.request.PartitionRequest` fields do -- and, like those,
+they are part of the job's cache identity.
 
 :func:`expand_manifest` yields fully-resolved jobs in manifest order;
 :func:`load_manifest` reads and validates a file.  The scheduler
@@ -35,12 +35,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
-from repro.partition.devices import (
-    DeviceLibrary,
-    XC3000_LIBRARY,
-    XC4000_LIBRARY,
+from repro.partition.devices import library_by_name
+from repro.request import (
+    BIPARTITION_PARAMS,
+    COMMON_PARAMS,
+    PARTITION_PARAMS,
+    PartitionRequest,
+    RequestError,
+    build_request,
 )
-from repro.request import PartitionRequest, build_request
+from repro.request import parse_threshold as _request_threshold
 
 #: Manifest identifier expected in the ``schema`` field.
 MANIFEST_SCHEMA_NAME = "repro-batch-manifest/1"
@@ -48,43 +52,8 @@ MANIFEST_SCHEMA_NAME = "repro-batch-manifest/1"
 #: Report identifier stamped into every batch report.
 REPORT_SCHEMA_NAME = "repro-batch-report/1"
 
-#: Verbs a manifest job may use (the cacheable ``repro.api`` verbs).
+#: Verbs a manifest job may use (the cacheable request verbs).
 JOB_VERBS = ("partition", "bipartition")
-
-#: Device libraries resolvable by name in a manifest.
-LIBRARIES: Dict[str, DeviceLibrary] = {
-    XC3000_LIBRARY.name: XC3000_LIBRARY,
-    XC4000_LIBRARY.name: XC4000_LIBRARY,
-}
-
-#: Per-verb tunables a job may set (beyond the common fields), with the
-#: ``repro.api`` defaults used when neither the job nor ``defaults``
-#: supplies them.
-_PARTITION_PARAMS: Dict[str, Any] = {
-    "threshold": 1,
-    "library": "XC3000",
-    "n_solutions": 2,
-    "seeds_per_carve": 3,
-    "devices_per_carve": 3,
-}
-_BIPARTITION_PARAMS: Dict[str, Any] = {
-    "runs": 20,
-    "threshold": 0,
-    "balance_tolerance": 0.02,
-    "max_passes": 16,
-    "max_growth": None,
-}
-_COMMON_PARAMS: Dict[str, Any] = {
-    "scale": 1.0,
-    "algorithm": "fm+functional",
-    "deadline": None,
-    "max_retries": None,
-    "fallback": None,
-    # Tri-state V-cycle knob; accepts the wire spellings "on"/"off"/
-    # "auto" as well as the legacy true/false/null.  Part of the cache
-    # identity only when it resolves on (see PartitionRequest.config).
-    "multilevel": None,
-}
 
 
 class ManifestError(ValueError):
@@ -124,14 +93,6 @@ class BatchJob:
         """
         return (self.circuit, float(self.params["scale"]), self.seed or 1994)
 
-    def api_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments for the matching ``repro.api`` verb."""
-        kwargs = dict(self.params)
-        if self.verb == "partition":
-            kwargs["library"] = resolve_library(kwargs.get("library"))
-        kwargs["seed"] = self.seed
-        return kwargs
-
     def to_request(self) -> PartitionRequest:
         """This job as a canonical :class:`~repro.request.PartitionRequest`.
 
@@ -143,39 +104,23 @@ class BatchJob:
         document over the wire, so a batch job and a service job with
         equal parameters are bit-identical by construction.
         """
-        params = {k: v for k, v in self.params.items() if k != "library"}
-        library = self.params.get("library")
-        if self.verb == "partition":
-            params["library"] = resolve_library(library).name
         try:
-            request = build_request(self.verb, self.circuit, seed=self.seed, **params)
+            request = build_request(
+                self.verb, self.circuit, seed=self.seed, **self.params
+            )
         except ValueError as exc:
             raise ManifestError(f"job {self.job_id}: {exc}") from exc
         return request.with_trace(self.trace_id) if self.trace_id else request
 
 
-def resolve_library(name: Optional[str]) -> DeviceLibrary:
-    """A bundled device library by name (``None`` -> XC3000)."""
-    if name is None:
-        return XC3000_LIBRARY
-    try:
-        return LIBRARIES[name]
-    except KeyError:
-        raise ManifestError(
-            f"unknown device library {name!r}; known: {sorted(LIBRARIES)}"
-        ) from None
-
-
 def parse_threshold(value: Any) -> Union[int, float]:
     """A job threshold: a number, or ``"inf"`` for the no-replication
-    baseline (strict JSON cannot carry the float directly)."""
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return float("inf")
-        raise ManifestError(f"threshold {value!r} is not a number or 'inf'")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ManifestError(f"threshold {value!r} is not a number or 'inf'")
-    return value
+    baseline (:func:`repro.request.parse_threshold`, raising
+    :class:`ManifestError`)."""
+    try:
+        return _request_threshold(value)
+    except RequestError as exc:
+        raise ManifestError(str(exc)) from None
 
 
 def threshold_label(threshold: Union[int, float]) -> str:
@@ -185,8 +130,12 @@ def threshold_label(threshold: Union[int, float]) -> str:
 
 _META_KEYS = ("verb", "circuit", "seed", "seeds", "priority")
 
+# A job may set the common fields plus its verb's tunables; whatever
+# neither the job nor ``defaults`` supplies comes from the request
+# defaults tables, the same ones PartitionRequest uses.
+
 #: Every field any verb knows -- a default outside this set is a typo.
-_ALL_PARAMS = set(_COMMON_PARAMS) | set(_PARTITION_PARAMS) | set(_BIPARTITION_PARAMS)
+_ALL_PARAMS = set(COMMON_PARAMS) | set(PARTITION_PARAMS) | set(BIPARTITION_PARAMS)
 
 
 def _job_params(
@@ -195,7 +144,7 @@ def _job_params(
     raw: Dict[str, Any],
     where: str,
 ) -> Dict[str, Any]:
-    """Merge job fields over manifest defaults over the api defaults.
+    """Merge job fields over manifest defaults over the request defaults.
 
     A *default* naming a field the job's verb does not take is silently
     skipped (one ``defaults`` block may serve mixed-verb manifests, e.g.
@@ -203,8 +152,8 @@ def _job_params(
     it at all.  A field set on the *job itself* must be valid for its
     verb.
     """
-    known = dict(_COMMON_PARAMS)
-    known.update(_PARTITION_PARAMS if verb == "partition" else _BIPARTITION_PARAMS)
+    known = dict(COMMON_PARAMS)
+    known.update(PARTITION_PARAMS if verb == "partition" else BIPARTITION_PARAMS)
     params = dict(known)
     for key, value in defaults.items():
         if key in _META_KEYS:
@@ -222,7 +171,11 @@ def _job_params(
     if "threshold" in params:
         params["threshold"] = parse_threshold(params["threshold"])
     if verb == "partition":
-        resolve_library(params["library"])  # validate the name early
+        # Validate the name early; null means the default library.
+        try:
+            params["library"] = library_by_name(params["library"]).name
+        except ValueError as exc:
+            raise ManifestError(f"{where}: {exc}") from None
     return params
 
 
@@ -326,7 +279,6 @@ def load_manifest(path: str) -> Dict[str, Any]:
 __all__ = [
     "BatchJob",
     "JOB_VERBS",
-    "LIBRARIES",
     "MANIFEST_SCHEMA_NAME",
     "ManifestError",
     "REPORT_SCHEMA_NAME",
@@ -334,6 +286,5 @@ __all__ = [
     "load_manifest",
     "parse_threshold",
     "requests_from_manifest",
-    "resolve_library",
     "threshold_label",
 ]

@@ -22,7 +22,7 @@ from time import perf_counter
 from typing import Any, Dict, Optional, Tuple
 
 from repro.batch.manifest import BatchJob
-from repro.core.results import KWayReport
+from repro.core.results import kway_report_from_solution
 from repro.obs import ledger as obs_ledger
 
 #: Mapped-netlist memo entries kept per worker process.
@@ -111,29 +111,9 @@ def _mapped_for(job: BatchJob) -> Any:
     return _MAPPED_MEMO[nid]
 
 
-def kway_report_from_solution(
-    solution: Any, threshold: float, elapsed_seconds: float
-) -> KWayReport:
-    """A :class:`KWayReport` row from a full k-way solution (the same
-    distillation :func:`repro.core.flow.kway_experiment` performs)."""
-    return KWayReport(
-        circuit=solution.name,
-        threshold=float(threshold),
-        k=solution.k,
-        total_cost=solution.cost.total_cost,
-        device_counts=solution.cost.device_counts,
-        avg_clb_utilization=solution.cost.avg_clb_utilization,
-        avg_iob_utilization=solution.cost.avg_iob_utilization,
-        replicated_fraction=solution.replicated_fraction,
-        n_cells=solution.n_original_cells,
-        n_instances=solution.n_instances,
-        feasible=solution.feasible,
-        elapsed_seconds=elapsed_seconds,
-    )
-
-
 def execute_job(job: BatchJob, cache: str = "use") -> JobOutcome:
-    """Run one job through ``repro.api`` and distill the outcome.
+    """Run one job through :func:`repro.api.run_request` and distill
+    the outcome.
 
     Failures are captured, never raised: a batch must report a broken
     job and keep going (the per-job resilient-runner policies inside the
@@ -147,7 +127,7 @@ def execute_job(job: BatchJob, cache: str = "use") -> JobOutcome:
         mapped = _mapped_for(job)
         # One execution path for every front door: the job becomes a
         # canonical request and runs through the same run_request flow
-        # the api verbs, the CLI and the service use (the memoized
+        # library callers, the CLI and the service use (the memoized
         # mapped netlist rides the side-channel).
         result = api.run_request(request, circuit=mapped, cache=cache)
         if job.verb == "partition":
@@ -219,6 +199,5 @@ __all__ = [
     "JobOutcome",
     "execute_job",
     "failed_outcome",
-    "kway_report_from_solution",
     "skipped_outcome",
 ]

@@ -10,7 +10,7 @@ tmp+rename writes and an LRU size cap.
 
 See :mod:`repro.cache.store` for the store and enablement helpers and
 :mod:`repro.cache.codec` for the solution (de)serialization; the
-``repro.api`` verbs consume both via their ``cache=`` parameter
+request's ``cache`` policy in :func:`repro.api.run_request` drives both
 (``docs/CACHING.md`` documents key derivation and invalidation).
 """
 

@@ -64,7 +64,7 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 #: Entry kinds a conforming store may contain (the cacheable verbs).
 ENTRY_KINDS = ("partition", "bipartition")
 
-#: The cache policies the ``repro.api`` verbs accept.
+#: The cache policies a request may carry.
 CACHE_POLICIES = ("use", "refresh", "off")
 
 

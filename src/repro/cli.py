@@ -8,10 +8,8 @@ bipartition  Min-cut bipartitioning with or without functional replication.
 partition    Heterogeneous k-way partitioning (cost + interconnect).
 experiment   Regenerate a paper table/figure (table1..table7, figure3).
 runs         Inspect the persistent run ledger (list/show/diff/report).
-batch        Run job manifests against the solution cache (run/manifest/check);
-             ``run --nodes N`` dispatches across the simulated solve farm.
+batch        Run job manifests against the solution cache (run/manifest/check).
 cache        Inspect or trim the on-disk solution cache (stats/evict).
-cluster      The fault-tolerant solve farm (start/status/drill).
 serve        Partitioning-as-a-service: the async HTTP job server
              (see docs/SERVICE.md).
 obs          Observability utilities: validate JSONL event streams,
@@ -43,6 +41,7 @@ from repro.netlist.bench_io import load_bench
 from repro.netlist.benchmarks import BENCHMARK_NAMES, benchmark_circuit
 from repro.netlist.netlist import Netlist
 from repro.netlist.stats import mapped_stats, netlist_stats
+from repro.request import BIPARTITION_PARAMS, PARTITION_PARAMS
 from repro.techmap.mapped import technology_map
 
 
@@ -935,30 +934,14 @@ def _cmd_batch_run(args: argparse.Namespace) -> int:
             )
 
     with _observability(args) as (trace_path, _events):
-        if args.nodes:
-            from repro.cluster.scheduler import run_cluster_batch
-            from repro.cluster.store import ClusterError
-
-            try:
-                report = run_cluster_batch(
-                    manifest,
-                    nodes=args.nodes,
-                    cluster_dir=args.cluster_dir,
-                    cache=args.cache,
-                    deadline=args.deadline,
-                    on_event=progress,
-                )
-            except ClusterError as exc:
-                raise SystemExit(str(exc)) from exc
-        else:
-            report = run_batch(
-                manifest,
-                jobs=args.jobs,
-                cache=args.cache,
-                cache_dir=args.cache_dir,
-                deadline=args.deadline,
-                on_event=progress,
-            )
+        report = run_batch(
+            manifest,
+            jobs=args.jobs,
+            cache=args.cache,
+            cache_dir=args.cache_dir,
+            deadline=args.deadline,
+            on_event=progress,
+        )
     if args.report:
         report.write(args.report)
         print(f"report written to {args.report}", file=sys.stderr)
@@ -1044,129 +1027,6 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# cluster: the simulated multi-node solve farm
-# ---------------------------------------------------------------------------
-
-
-def _cmd_cluster_start(args: argparse.Namespace) -> int:
-    from repro.cluster.admin import ensure_cluster
-    from repro.cluster.store import ClusterError
-
-    try:
-        cluster = ensure_cluster(
-            args.cluster_dir,
-            nodes=args.nodes,
-            replication=args.replication,
-            write_quorum=args.write_quorum,
-            read_quorum=args.read_quorum,
-        )
-    except ClusterError as exc:
-        raise SystemExit(str(exc)) from exc
-    status = cluster.status()
-    if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-    else:
-        print(
-            f"cluster at {status['root']}: {len(status['nodes'])} node(s), "
-            f"replication {status['replication']}, "
-            f"W={status['write_quorum']} R={status['read_quorum']}"
-        )
-    return 0
-
-
-def _cmd_cluster_status(args: argparse.Namespace) -> int:
-    from repro.cluster.admin import load_cluster
-    from repro.cluster.store import ClusterError
-
-    try:
-        cluster = load_cluster(args.cluster_dir)
-        if args.kill:
-            cluster.kill(args.kill)
-        if args.restart:
-            cluster.restart(args.restart)
-            delivered = cluster.deliver_hints(args.restart)
-            repaired = cluster.anti_entropy()
-            print(
-                f"{args.restart} rejoined: {delivered} hint(s) delivered, "
-                f"{repaired} entrie(s) repaired",
-                file=sys.stderr,
-            )
-        status = cluster.status()
-    except ClusterError as exc:
-        raise SystemExit(str(exc)) from exc
-    if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0 if status["in_sync"] else 1
-    print(f"cluster at {status['root']} "
-          f"(replication {status['replication']}, "
-          f"W={status['write_quorum']} R={status['read_quorum']}):")
-    for row in status["nodes"]:
-        state = "up" if row["up"] else "DOWN"
-        hints = sum(row["pending_hints"].values())
-        print(
-            f"  {row['name']:<8} {state:<5} {row['entries']:>5} entrie(s) "
-            f"{row['bytes']:>9} bytes  digest {row['digest_root'][:12]}  "
-            f"{hints} pending hint(s)"
-        )
-    print(f"  in sync: {'yes' if status['in_sync'] else 'NO'} "
-          f"({status['live']}/{len(status['nodes'])} live)")
-    return 0 if status["in_sync"] else 1
-
-
-def _cmd_cluster_drill(args: argparse.Namespace) -> int:
-    from repro.batch.manifest import ManifestError, load_manifest
-    from repro.cluster.drill import run_drill
-    from repro.cluster.store import ClusterError
-
-    try:
-        manifest = load_manifest(args.manifest)
-    except ManifestError as exc:
-        raise SystemExit(str(exc)) from exc
-
-    def progress(payload: dict) -> None:
-        if args.quiet:
-            return
-        event = payload.get("event")
-        if event in ("node.crash", "node.dead", "job.redispatch", "job.steal"):
-            detail = {
-                k: v for k, v in payload.items() if k not in ("event",)
-            }
-            print(f"  [{event}] {detail}", file=sys.stderr)
-
-    with _observability(args) as (trace_path, _events):
-        try:
-            report = run_drill(
-                manifest,
-                cluster_dir=args.cluster_dir,
-                nodes=args.nodes,
-                kill=args.kill,
-                after=(
-                    args.after
-                    if args.after is not None
-                    else (0 if args.kill else 1)
-                ),
-                min_hit_rate=args.min_hit_rate,
-                on_event=progress,
-            )
-        except ClusterError as exc:
-            raise SystemExit(str(exc)) from exc
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"drill report written to {args.report}", file=sys.stderr)
-    if trace_path is not None:
-        print(f"trace written to {trace_path}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.summary())
-        for problem in report.problems:
-            print(f"FAIL: {problem}", file=sys.stderr)
-    return 0 if report.passed else 1
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import run_service
 
@@ -1180,7 +1040,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 cache=args.cache,
                 cache_dir=args.cache_dir,
-                cluster_dir=args.cluster_dir,
                 rate=args.rate,
                 burst=args.burst,
                 max_inflight=args.max_inflight,
@@ -1326,7 +1185,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="fm+functional",
     )
     p_bi.add_argument("--runs", type=int, default=5)
-    p_bi.add_argument("--threshold", type=int, default=0)
+    p_bi.add_argument(
+        "--threshold", type=int, default=BIPARTITION_PARAMS["threshold"]
+    )
     _add_multilevel_arg(p_bi)
     _add_jobs_arg(p_bi)
     _add_resilience_args(p_bi)
@@ -1335,7 +1196,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kw = sub.add_parser("partition", help="heterogeneous k-way partitioning")
     _add_circuit_args(p_kw)
-    p_kw.add_argument("--threshold", default="1", help="T (int or 'inf')")
+    p_kw.add_argument(
+        "--threshold",
+        default=str(PARTITION_PARAMS["threshold"]),
+        help="T (int or 'inf')",
+    )
     p_kw.add_argument("--solutions", type=int, default=2)
     p_kw.add_argument(
         "--verify",
@@ -1583,21 +1448,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the full batch report JSON here",
     )
     p_br.add_argument(
-        "--nodes",
-        type=int,
-        default=0,
-        metavar="N",
-        help="dispatch across an N-node simulated solve farm instead of a "
-        "process pool (replicated cache, failure detection, re-dispatch; "
-        "see docs/ROBUSTNESS.md)",
-    )
-    p_br.add_argument(
-        "--cluster-dir",
-        metavar="PATH",
-        default=None,
-        help="cluster layout directory for --nodes (default results/cluster)",
-    )
-    p_br.add_argument(
         "--keep-going",
         action="store_true",
         help="exit 0 even when jobs failed or were skipped (the report "
@@ -1688,113 +1538,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ce.set_defaults(func=_cmd_cache_evict)
 
-    p_cluster = sub.add_parser(
-        "cluster", help="the simulated multi-node solve farm (start/status/drill)"
-    )
-    cluster_sub = p_cluster.add_subparsers(dest="cluster_command", required=True)
-
-    def _cluster_dir_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--cluster-dir",
-            metavar="PATH",
-            default="results/cluster",
-            help="cluster layout directory (default results/cluster)",
-        )
-
-    p_cl_start = cluster_sub.add_parser(
-        "start", help="create (or re-open) a cluster layout on disk"
-    )
-    _cluster_dir_arg(p_cl_start)
-    p_cl_start.add_argument(
-        "--nodes", type=int, default=3, metavar="N", help="member count (default 3)"
-    )
-    p_cl_start.add_argument(
-        "--replication",
-        type=int,
-        default=None,
-        metavar="RF",
-        help="replicas per entry (default: all nodes -- full replication)",
-    )
-    p_cl_start.add_argument("--write-quorum", type=int, default=1, metavar="W")
-    p_cl_start.add_argument("--read-quorum", type=int, default=1, metavar="R")
-    p_cl_start.add_argument("--json", action="store_true")
-    p_cl_start.set_defaults(func=_cmd_cluster_start)
-
-    p_cl_status = cluster_sub.add_parser(
-        "status",
-        help="per-node liveness, entries, digests and pending hints; "
-        "exit 1 when replicas diverge",
-    )
-    _cluster_dir_arg(p_cl_status)
-    p_cl_status.add_argument(
-        "--kill", metavar="NODE", default=None, help="take a node down first"
-    )
-    p_cl_status.add_argument(
-        "--restart",
-        metavar="NODE",
-        default=None,
-        help="bring a node back first (delivers hints + runs anti-entropy)",
-    )
-    p_cl_status.add_argument("--json", action="store_true")
-    p_cl_status.set_defaults(func=_cmd_cluster_status)
-
-    p_cl_drill = cluster_sub.add_parser(
-        "drill",
-        help="kill/recover/replay determinism drill over a batch manifest; "
-        "exit 1 on any violated expectation",
-    )
-    p_cl_drill.add_argument("manifest", help="batch manifest JSON file")
-    _cluster_dir_arg(p_cl_drill)
-    p_cl_drill.add_argument(
-        "--nodes", type=int, default=3, metavar="N", help="member count (default 3)"
-    )
-    p_cl_drill.add_argument(
-        "--kill",
-        metavar="NODE",
-        default=None,
-        help="crash this specific node (default: whichever runs job --after)",
-    )
-    p_cl_drill.add_argument(
-        "--after",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "crash fires on the (N+1)-th matching job execution "
-            "(default 1: mid-wave; with --kill, 0: the named node's "
-            "first job, since it may only ever get one)"
-        ),
-    )
-    p_cl_drill.add_argument(
-        "--min-hit-rate",
-        type=float,
-        default=0.9,
-        metavar="FRAC",
-        help="required cache hit rate in the replay run (default 0.9)",
-    )
-    p_cl_drill.add_argument(
-        "--report",
-        metavar="PATH",
-        default=None,
-        help="write the full drill report JSON here",
-    )
-    p_cl_drill.add_argument(
-        "--quiet", action="store_true", help="suppress drill progress lines"
-    )
-    p_cl_drill.add_argument("--json", action="store_true")
-    p_cl_drill.add_argument(
-        "--trace",
-        action="store_true",
-        help="record cluster events as JSONL (see docs/OBSERVABILITY.md)",
-    )
-    p_cl_drill.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="JSONL trace destination (implies --trace; default trace.jsonl)",
-    )
-    p_cl_drill.set_defaults(func=_cmd_cluster_drill)
-
     p_serve = sub.add_parser(
         "serve",
         help="partitioning-as-a-service: async HTTP job server "
@@ -1826,12 +1569,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="solution-cache directory (default results/cache, "
         "or the REPRO_CACHE env var)",
-    )
-    p_serve.add_argument(
-        "--cluster-dir",
-        metavar="PATH",
-        default=None,
-        help="serve from a replicated cluster cache instead of a local store",
     )
     p_serve.add_argument(
         "--rate",

@@ -11,10 +11,13 @@
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Optional, Union
 
-from repro.core.results import BipartitionReport, KWayReport
+from repro.core.results import (
+    BipartitionReport,
+    KWayReport,
+    kway_report_from_solution,
+)
 from repro.hypergraph.build import build_hypergraph
 from repro.netlist.benchmarks import benchmark_circuit
 from repro.netlist.netlist import Netlist
@@ -48,17 +51,8 @@ _ALGORITHM_STYLE = {
 }
 
 
-def _resolve_style(algorithm: str, style: Optional[str], caller: str) -> str:
-    """Map the canonical ``algorithm`` name to an engine style, honouring
-    the deprecated ``style=`` keyword when a caller still passes it."""
-    if style is not None:
-        warnings.warn(
-            f"{caller}(style=...) is deprecated; use "
-            "algorithm='fm+functional'|'fm+traditional'|'fm'",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return style
+def _resolve_style(algorithm: str) -> str:
+    """Map the canonical ``algorithm`` name to an engine style."""
     if algorithm not in _ALGORITHM_STYLE:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     return _ALGORITHM_STYLE[algorithm]
@@ -252,7 +246,6 @@ def kway_experiment(
     devices_per_carve: int = 3,
     budget: Optional[Budget] = None,
     jobs: int = 1,
-    style: Optional[str] = None,
     multilevel: Optional[bool] = None,
 ) -> KWayReport:
     """Experiment 2: one k-way heterogeneous partitioning data point.
@@ -264,39 +257,24 @@ def kway_experiment(
     pool (deterministic per seed).
 
     ``algorithm`` takes the same names as :func:`bipartition_experiment`
-    (``"fm+functional"``, ``"fm+traditional"``, ``"fm"``); ``style=`` is
-    a deprecated alias taking raw engine styles.
+    (``"fm+functional"``, ``"fm+traditional"``, ``"fm"``).
     """
-    resolved = _resolve_style(algorithm, style, "kway_experiment")
-    if threshold == float("inf"):
-        resolved = NONE
-    config = KWayConfig(
-        library=library or XC3000_LIBRARY,
-        threshold=threshold,
-        style=resolved,
+    start = time.perf_counter()
+    solution = kway_solution(
+        mapped,
+        threshold,
+        library=library,
+        n_solutions=n_solutions,
         seed=seed,
         seeds_per_carve=seeds_per_carve,
+        algorithm=algorithm,
         devices_per_carve=devices_per_carve,
         budget=budget,
         jobs=jobs,
         multilevel=multilevel,
     )
-    start = time.perf_counter()
-    solution = best_heterogeneous_partition(mapped, config, n_solutions=n_solutions)
-    elapsed = time.perf_counter() - start
-    return KWayReport(
-        circuit=mapped.name,
-        threshold=float(threshold),
-        k=solution.k,
-        total_cost=solution.cost.total_cost,
-        device_counts=solution.cost.device_counts,
-        avg_clb_utilization=solution.cost.avg_clb_utilization,
-        avg_iob_utilization=solution.cost.avg_iob_utilization,
-        replicated_fraction=solution.replicated_fraction,
-        n_cells=solution.n_original_cells,
-        n_instances=solution.n_instances,
-        feasible=solution.feasible,
-        elapsed_seconds=elapsed,
+    return kway_report_from_solution(
+        solution, threshold, time.perf_counter() - start
     )
 
 
@@ -311,15 +289,10 @@ def kway_solution(
     devices_per_carve: int = 3,
     budget: Optional[Budget] = None,
     jobs: int = 1,
-    style: Optional[str] = None,
     multilevel: Optional[bool] = None,
 ) -> KWaySolution:
-    """Like :func:`kway_experiment` but returning the full solution object.
-
-    ``style=`` is a deprecated alias of ``algorithm=`` taking raw engine
-    styles.
-    """
-    resolved = _resolve_style(algorithm, style, "kway_solution")
+    """Like :func:`kway_experiment` but returning the full solution object."""
+    resolved = _resolve_style(algorithm)
     if threshold == float("inf"):
         resolved = NONE
     config = KWayConfig(

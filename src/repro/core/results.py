@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, List
+from typing import Any, Dict, List
 
 
 @dataclass
@@ -67,6 +67,27 @@ class KWayReport:
         data = asdict(self)
         data["threshold"] = "inf" if self.threshold == float("inf") else self.threshold
         return data
+
+
+def kway_report_from_solution(
+    solution: Any, threshold: float, elapsed_seconds: float
+) -> KWayReport:
+    """The :class:`KWayReport` row of a full
+    :class:`~repro.partition.kway.KWaySolution`."""
+    return KWayReport(
+        circuit=solution.name,
+        threshold=float(threshold),
+        k=solution.k,
+        total_cost=solution.cost.total_cost,
+        device_counts=solution.cost.device_counts,
+        avg_clb_utilization=solution.cost.avg_clb_utilization,
+        avg_iob_utilization=solution.cost.avg_iob_utilization,
+        replicated_fraction=solution.replicated_fraction,
+        n_cells=solution.n_original_cells,
+        n_instances=solution.n_instances,
+        feasible=solution.feasible,
+        elapsed_seconds=elapsed_seconds,
+    )
 
 
 def dump_reports(reports: List[object], path: str) -> None:

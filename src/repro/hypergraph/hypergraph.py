@@ -38,7 +38,7 @@ class Node:
 
     ``weight`` is the CLB count of one instance; it is 1 for mapped cells
     and larger for the coarse super-nodes built by
-    :mod:`repro.partition.clustering`.
+    :func:`repro.partition.reference.coarsen_once`.
 
     ``__slots__`` (via ``slots=True``) keeps the per-node memory footprint
     flat and attribute access fast; these objects number in the tens of

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.robust.errors import ConfigError
 
@@ -155,3 +155,20 @@ XC4000_LIBRARY = DeviceLibrary(
     ],
     name="XC4000",
 )
+
+#: The bundled libraries by the name requests and manifests carry.
+LIBRARIES: Dict[str, DeviceLibrary] = {
+    lib.name: lib for lib in (XC3000_LIBRARY, XC4000_LIBRARY)
+}
+
+
+def library_by_name(name: Optional[str]) -> DeviceLibrary:
+    """A bundled device library by name (``None`` -> XC3000)."""
+    if name is None:
+        return XC3000_LIBRARY
+    try:
+        return LIBRARIES[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown device library {name!r}; known: {sorted(LIBRARIES)}"
+        ) from None

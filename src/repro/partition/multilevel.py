@@ -1,9 +1,9 @@
 """Multilevel (coarsen-solve-uncoarsen) V-cycle on the CSR core.
 
-This is the production successor of :mod:`repro.partition.clustering`:
-the same classic scheme -- heavy-edge affinity matching, net contraction,
-coarsest-level FM, uncoarsen with per-level refinement, optional
-replication finish -- but run entirely on flat
+This is the production successor of the object-graph V-cycle kept in
+:mod:`repro.partition.reference`: the same classic scheme -- heavy-edge
+affinity matching, net contraction, coarsest-level FM, uncoarsen with
+per-level refinement, optional replication finish -- but run entirely on flat
 :class:`~repro.hypergraph.compact.CompactHypergraph` arrays.  Coarse
 levels never materialize object-graph :class:`Hypergraph`s; each level is
 built array-to-array (match / weight / coarse-id int arrays, stamp-based

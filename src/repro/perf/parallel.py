@@ -6,8 +6,8 @@ Three fan-out points, all with the same contract:
 * :func:`parallel_best_of_runs_replication` -- replication-aware multi-start;
 * :class:`CarveBandPool` -- the k-way carver's per-fill-band candidate scan;
 * :class:`BatchJobPool` -- whole-job fan-out for the batch scheduler
-  (:mod:`repro.batch.scheduler`), one ``repro.api`` verb call per task
-  with a worker-local solution cache.
+  (:mod:`repro.batch.scheduler`), one :func:`repro.api.run_request` per
+  task with a worker-local solution cache.
 
 **Determinism.**  Work items (derived seeds, carve candidates) are
 generated in exactly the order the sequential loop would generate them,
@@ -421,20 +421,11 @@ def _batch_init(
     cache_policy: str,
     obs_ctx: Optional[Dict[str, Any]],
     fault_spec: Optional[List[Dict[str, Any]]] = None,
-    cluster_dir: Optional[str] = None,
 ) -> None:
     global _BATCH_CTX
     faults.install_spec(fault_spec)
     _BATCH_CTX = (cache_dir, cache_policy, obs_ctx)
-    if cluster_dir:
-        # Workers talk straight to the cluster's quorum-replicated cache:
-        # true process parallelism with replicated writes, no parent
-        # round-trip per entry.
-        from repro.cache.store import set_cache
-        from repro.cluster.admin import load_cluster
-
-        set_cache(load_cluster(cluster_dir).store)
-    elif cache_dir:
+    if cache_dir:
         from repro.cache.store import SolutionCache, set_cache
 
         set_cache(SolutionCache(cache_dir))
@@ -444,6 +435,9 @@ def _batch_task(job):
     from repro.batch.worker import execute_job
     from repro.robust.budget import CancelFlag, cancel_scope
 
+    # Worker-only fault site: a drill kills (exit_code=) or fails the
+    # worker that picked up one particular job, before any solve work.
+    faults.maybe_fire("batch.job", job=job.job_id)
     assert _BATCH_CTX is not None
     _, policy, obs_ctx = _BATCH_CTX
     # Install the job's cancellation sentinel for the duration of the
@@ -457,7 +451,7 @@ def _batch_task(job):
 
 
 class BatchJobPool:
-    """A process pool running whole batch jobs (one api verb call each).
+    """A process pool running whole batch jobs (one ``run_request`` each).
 
     Unlike the solver-level pools above, tasks here are coarse -- a full
     ``partition``/``bipartition`` run -- so the pool is built once per
@@ -478,14 +472,13 @@ class BatchJobPool:
         cache_dir: Optional[str],
         cache_policy: str,
         jobs: int,
-        cluster_dir: Optional[str] = None,
     ) -> None:
         self._ex = ProcessPoolExecutor(
             max_workers=resolve_jobs(jobs),
             initializer=_batch_init,
             initargs=(
                 cache_dir, cache_policy, _parent_obs_context(),
-                faults.export_spec(), cluster_dir,
+                faults.export_spec(),
             ),
         )
 

@@ -1,11 +1,10 @@
 """The unified, versioned request artifact every entry point parses.
 
-Before this module, each front door parsed its own ad-hoc shape: the
-``repro.api`` verbs took loose keyword arguments, the CLI re-validated
-argparse strings, batch manifests merged JSON param tables, and a
-network service would have needed a fourth copy.  A
-:class:`PartitionRequest` (schema ``repro-partition-request/1``) is the
-single parse point instead: a *frozen*, schema-versioned dataclass that
+The CLI, batch manifests, the job service and library callers all
+describe a solve the same way: a :class:`PartitionRequest` (schema
+``repro-partition-request/1``), executed by
+:func:`repro.api.run_request`.  It is a *frozen*, schema-versioned
+dataclass that
 
 * round-trips losslessly through JSON (:meth:`PartitionRequest.to_json`
   / :meth:`PartitionRequest.from_json`, stable field order, the paper's
@@ -14,10 +13,13 @@ single parse point instead: a *frozen*, schema-versioned dataclass that
   solution cache fingerprint (:meth:`PartitionRequest.config`), so
   ``request.cache_key(mapped)`` equals the ledger's ``run_key`` for the
   run the request describes;
-* normalizes the historically stringly/tri-state knobs into enums:
+* normalizes the stringly/tri-state knobs into enums:
   :class:`Algorithm`, :class:`CachePolicy` and :class:`MultilevelMode`
-  (the old ``multilevel=True/False/None`` spellings coerce through a
-  ``DeprecationWarning`` shim).
+  (``multilevel`` also accepts ``true``/``false``/``null``, its
+  documented JSON and manifest spelling);
+* takes every omitted tunable from one per-verb defaults table
+  (:data:`PARTITION_PARAMS`, :data:`BIPARTITION_PARAMS`,
+  :data:`COMMON_PARAMS`), which batch manifests and the CLI read too.
 
 Identity vs. execution fields
 -----------------------------
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Any, Dict, Optional, Union
@@ -119,9 +120,8 @@ class MultilevelMode(str, Enum):
     ``ON`` forces the coarsen-solve-uncoarsen engine, ``OFF`` keeps the
     flat engines, ``AUTO`` (default) enables it once the netlist reaches
     :data:`repro.partition.multilevel.MULTILEVEL_AUTO_MIN_CELLS` cells.
-    The historical ``True`` / ``False`` / ``None`` spellings coerce with
-    a ``DeprecationWarning`` (``None`` silently: it is the signature
-    default everywhere).
+    ``True`` / ``False`` / ``None`` coerce to ``ON`` / ``OFF`` / ``AUTO``:
+    that is the JSON and batch-manifest spelling of the knob.
     """
 
     ON = "on"
@@ -130,29 +130,14 @@ class MultilevelMode(str, Enum):
 
     @classmethod
     def coerce(
-        cls,
-        value: Union["MultilevelMode", str, bool, None],
-        warn: bool = False,
+        cls, value: Union["MultilevelMode", str, bool, None]
     ) -> "MultilevelMode":
-        """Normalize a multilevel spelling.
-
-        ``warn=True`` (the ``repro.api`` keyword shim) emits a
-        ``DeprecationWarning`` for the legacy bool spellings; JSON /
-        manifest decoding coerces silently -- bools are the documented
-        wire format there.
-        """
+        """Normalize a multilevel spelling; raises :class:`RequestError`."""
         if isinstance(value, cls):
             return value
         if value is None:
             return cls.AUTO
         if isinstance(value, bool):
-            if warn:
-                warnings.warn(
-                    "multilevel=True/False is deprecated; pass "
-                    "MultilevelMode.ON / MultilevelMode.OFF (or 'on'/'off')",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
             return cls.ON if value else cls.OFF
         if isinstance(value, str):
             try:
@@ -195,8 +180,10 @@ def threshold_json(threshold: Union[int, float]) -> Union[int, float, str]:
     return threshold
 
 
-#: Per-verb tunables with the ``repro.api`` defaults -- the one table
-#: the api shims, batch manifests and the service all resolve against.
+#: Per-verb tunables with their defaults -- the one table the
+#: :class:`PartitionRequest` fields, batch manifests and the CLI all
+#: read.  ``threshold`` is the only tunable both verbs take with
+#: different defaults, so a request that omits it resolves it per verb.
 PARTITION_PARAMS: Dict[str, Any] = {
     "threshold": 1,
     "library": "XC3000",
@@ -230,30 +217,34 @@ def _require(cond: bool, message: str) -> None:
 class PartitionRequest:
     """One solver invocation as a frozen, serializable artifact.
 
-    Construct directly, from keyword shims (:func:`build_request`), from
-    a JSON document (:meth:`from_json`) or from a batch-manifest job
+    Construct directly, from keyword arguments (:func:`build_request`),
+    from a JSON document (:meth:`from_json`) or from a batch-manifest job
     (:meth:`repro.batch.manifest.BatchJob.to_request`); every path yields
     the same normalized object, and equal requests are ``==`` and hash
-    alike (usable as memo keys).
+    alike (usable as memo keys).  Omitted fields take their defaults
+    from the per-verb tables above; an omitted ``threshold`` is 1 for
+    ``partition`` and 0 for ``bipartition``.
     """
 
     verb: str
     circuit: str
-    scale: float = 1.0
+    scale: float = COMMON_PARAMS["scale"]
     seed: int = 0
-    algorithm: Algorithm = Algorithm.FM_FUNCTIONAL
-    threshold: Union[int, float] = 1
+    algorithm: Algorithm = Algorithm(COMMON_PARAMS["algorithm"])
+    #: Omitted (``None``), it takes the verb's table default in
+    #: ``__post_init__``, so the attribute is always a number.
+    threshold: Union[int, float] = None  # type: ignore[assignment]
     multilevel: MultilevelMode = MultilevelMode.AUTO
     # -- partition tunables (ignored by bipartition) --------------------
-    library: str = "XC3000"
-    n_solutions: int = 2
-    seeds_per_carve: int = 3
-    devices_per_carve: int = 3
+    library: str = PARTITION_PARAMS["library"]
+    n_solutions: int = PARTITION_PARAMS["n_solutions"]
+    seeds_per_carve: int = PARTITION_PARAMS["seeds_per_carve"]
+    devices_per_carve: int = PARTITION_PARAMS["devices_per_carve"]
     # -- bipartition tunables (ignored by partition) --------------------
-    runs: int = 20
-    balance_tolerance: float = 0.02
-    max_passes: int = 16
-    max_growth: Optional[float] = None
+    runs: int = BIPARTITION_PARAMS["runs"]
+    balance_tolerance: float = BIPARTITION_PARAMS["balance_tolerance"]
+    max_passes: int = BIPARTITION_PARAMS["max_passes"]
+    max_growth: Optional[float] = BIPARTITION_PARAMS["max_growth"]
     # -- resilience (part of the cache/ledger identity) -----------------
     deadline: Optional[float] = None
     max_retries: Optional[int] = None
@@ -296,7 +287,13 @@ class PartitionRequest:
         object.__setattr__(
             self, "multilevel", MultilevelMode.coerce(self.multilevel)
         )
-        object.__setattr__(self, "threshold", parse_threshold(self.threshold))
+        threshold = self.threshold
+        if threshold is None:
+            verb_params = (
+                BIPARTITION_PARAMS if self.verb == "bipartition" else PARTITION_PARAMS
+            )
+            threshold = verb_params["threshold"]
+        object.__setattr__(self, "threshold", parse_threshold(threshold))
         _require(
             self.trace_id is None
             or (isinstance(self.trace_id, str) and bool(self.trace_id)),
@@ -544,24 +541,13 @@ class PartitionRequest:
         return replace(self, trace_id=trace_id)
 
 
-def build_request(
-    verb: str,
-    circuit: str,
-    *,
-    warn_legacy: bool = False,
-    **kwargs: Any,
-) -> PartitionRequest:
-    """The keyword-argument shim: loose kwargs into a normalized request.
+def build_request(verb: str, circuit: str, **kwargs: Any) -> PartitionRequest:
+    """A request from keyword arguments, e.g. ``build_request("partition",
+    "s5378", scale=0.5, threshold=1)``.
 
-    Used by the ``repro.api`` verbs to keep every historical call shape
-    working; ``warn_legacy`` turns the deprecated spellings (bool
-    ``multilevel``) into ``DeprecationWarning``s.  Unknown keywords
-    raise :class:`RequestError` (mirroring ``TypeError`` semantics).
+    Unknown keywords raise :class:`RequestError` (mirroring ``TypeError``
+    semantics); omitted ones take the per-verb defaults.
     """
-    if "multilevel" in kwargs:
-        kwargs["multilevel"] = MultilevelMode.coerce(
-            kwargs["multilevel"], warn=warn_legacy
-        )
     allowed = {f.name for f in fields(PartitionRequest)} - {"verb", "circuit"}
     unknown = sorted(set(kwargs) - allowed)
     _require(not unknown, f"unknown request field(s): {unknown}")

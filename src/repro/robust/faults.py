@@ -12,21 +12,19 @@ in production (an empty-list check) but consult the active
     (context: ``index``, ``style``);
 ``engine.run``
     start of every :meth:`repro.partition.fm_replication.ReplicationEngine.run`
-    (context: ``style``);
+    (context: ``style``, ``seed``);
 ``fm.run``
-    start of every :func:`repro.partition.fm.fm_bipartition` run;
+    start of every :func:`repro.partition.fm.fm_bipartition` run
+    (context: ``seed``);
 ``store.partial_write``
     inside :meth:`repro.cache.store.SolutionCache.put`, after the
     temporary sibling is written but *before* the atomic rename -- an
     injected error simulates a torn write (the stray ``.tmp`` file is
     left behind, the entry never lands) (context: ``key``);
-``node.crash``
-    start of every :meth:`repro.cluster.node.SolveNode.run_job` -- the
-    canonical node-kill drill site (context: ``node``, ``job``);
-``rpc.timeout``
-    around every per-node store operation of
-    :class:`repro.cluster.store.ReplicatedCache` (context: ``node``,
-    ``op``).
+``batch.job``
+    start of every job a :class:`repro.perf.parallel.BatchJobPool`
+    worker runs, before any solve work -- the worker-death drill site;
+    fires in pool workers only (context: ``job``, the job id).
 
 A :class:`Fault` matches a site (plus optional context filters), skips
 the first ``after`` matching calls, then fires up to ``times`` times --

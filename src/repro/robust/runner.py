@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -302,7 +301,6 @@ class ResilientRunner:
         devices_per_carve: int = 3,
         max_passes: int = 12,
         jobs: int = 1,
-        engine: Optional[str] = None,
         multilevel: Optional[bool] = None,
     ) -> KWayRunResult:
         """Resilient heterogeneous k-way partitioning.
@@ -312,17 +310,7 @@ class ResilientRunner:
         the :class:`RunLog`; raises
         :class:`~repro.robust.errors.BudgetExceededError` only when
         every attempt failed and no checkpoint exists.
-
-        ``engine=`` is a deprecated alias of ``algorithm=``.
         """
-        if engine is not None:
-            warnings.warn(
-                "ResilientRunner.kway(engine=...) is deprecated; "
-                "use algorithm=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            algorithm = engine
         cfg = self.config
         total = Budget(cfg.deadline, clock=cfg.clock)
         log = RunLog()
@@ -456,7 +444,6 @@ class ResilientRunner:
         max_passes: int = 16,
         max_growth: Optional[float] = None,
         jobs: int = 1,
-        engine: Optional[str] = None,
         multilevel: Optional[bool] = None,
     ) -> BipartitionRunResult:
         """Resilient experiment-1 bipartitioning.
@@ -464,17 +451,7 @@ class ResilientRunner:
         The budget is threaded into every inner FM run (a timed-out
         experiment reports the runs it completed); crashes are retried
         with perturbed seeds and degraded down the engine cascade.
-
-        ``engine=`` is a deprecated alias of ``algorithm=``.
         """
-        if engine is not None:
-            warnings.warn(
-                "ResilientRunner.bipartition(engine=...) is deprecated; "
-                "use algorithm=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            algorithm = engine
         cfg = self.config
         total = Budget(cfg.deadline, clock=cfg.clock)
         log = RunLog()

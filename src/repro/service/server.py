@@ -3,11 +3,12 @@
 A long-running, stdlib-only front door over the request API
 (:mod:`repro.request` / :func:`repro.api.run_request`): clients submit
 :class:`~repro.request.PartitionRequest` documents over HTTP, the server
-serves cache hits instantly from :mod:`repro.cache` (the cluster's
-:class:`~repro.cluster.store.ReplicatedCache` when ``cluster_dir`` is
-given), queues misses by priority, fans them out on the batch process
-pool (:class:`~repro.perf.parallel.BatchJobPool`) and streams per-job
-lifecycle events as chunked JSONL or SSE.
+serves cache hits instantly from :mod:`repro.cache`, queues misses by
+priority, fans them out on the batch process pool
+(:class:`~repro.perf.parallel.BatchJobPool`) and streams per-job
+lifecycle events as chunked JSONL or SSE.  When a pool worker dies,
+the jobs running on that pool fail ("worker died"), the broken pool is
+replaced, and the next job solves on fresh workers.
 
 Endpoints (all JSON; the request schema is ``repro-partition-request/1``):
 
@@ -52,6 +53,7 @@ import shutil
 import tempfile
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -104,7 +106,6 @@ class PartitionService:
         workers: int = 2,
         cache: str = "use",
         cache_dir: Optional[str] = None,
-        cluster_dir: Optional[str] = None,
         rate: float = 20.0,
         burst: float = 40.0,
         max_inflight: int = 16,
@@ -116,13 +117,8 @@ class PartitionService:
         self.port = port
         self.workers = max(1, int(workers))
         self.policy = cache
-        self.cluster_dir = cluster_dir
         if cache == "off":
             self.store = None
-        elif cluster_dir:
-            from repro.cluster.admin import load_cluster
-
-            self.store = load_cluster(cluster_dir).store
         else:
             self.store = SolutionCache(cache_dir) if cache_dir else resolve_cache()
         self.table = JobTable(keep_finished=keep_finished)
@@ -159,22 +155,21 @@ class PartitionService:
 
     # -- lifecycle ------------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the listener, build the pool, start the dispatcher."""
+    def _new_pool(self) -> Any:
         from repro.perf.parallel import BatchJobPool
 
+        pool_dir = self.store.root if self.store is not None else None
+        return BatchJobPool(pool_dir, self.policy, self.workers)
+
+    async def start(self) -> None:
+        """Bind the listener, build the pool, start the dispatcher."""
         self._wake = asyncio.Event()
         self._cond = asyncio.Condition()
         # Sentinel-file directory for cancelling *running* jobs: DELETE
         # touches <dir>/<job_id>.cancel and the pool worker's budgets
         # notice within one CancelFlag poll interval.
         self._cancel_dir = tempfile.mkdtemp(prefix="repro-cancel-")
-        pool_dir = None
-        if self.store is not None and not self.cluster_dir:
-            pool_dir = self.store.root
-        self._pool = BatchJobPool(
-            pool_dir, self.policy, self.workers, cluster_dir=self.cluster_dir
-        )
+        self._pool = self._new_pool()
         self._running = True
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
         self._server = await asyncio.start_server(
@@ -285,6 +280,8 @@ class PartitionService:
     def _finish(self, job: Job, state: str, **fields: Any) -> None:
         job.state = state
         job.finished_ts = time.time()
+        if "error" in fields:
+            job.error = fields["error"]
         self.stats[state] = self.stats.get(state, 0) + 1
         latency = job.finished_ts - job.submitted_ts
         self.latency.observe(latency)
@@ -329,12 +326,19 @@ class PartitionService:
                 job.cancel_path = os.path.join(
                     self._cancel_dir, f"{job.job_id}.cancel"
                 )
-            job.future = self._pool.submit(job.to_batch_job())
+            pool = self._pool
             try:
+                job.future = pool.submit(job.to_batch_job())
                 outcome = await loop.run_in_executor(None, self._collect, job.future)
             except asyncio.CancelledError:
                 raise
             except Exception as exc:  # noqa: BLE001 - worker-death boundary
+                if isinstance(exc, BrokenProcessPool) and self._pool is pool:
+                    # A worker died and took the executor with it; every
+                    # later submit would raise too.  Jobs that shared the
+                    # dead pool fail here, the next one gets fresh workers.
+                    pool.close()
+                    self._pool = self._new_pool()
                 if job.state == "cancelled":
                     return
                 self._finish(
@@ -509,7 +513,6 @@ class PartitionService:
             "uptime_seconds": time.time() - self.started_ts,
             "workers": self.workers,
             "cache_policy": self.policy,
-            "cluster": bool(self.cluster_dir),
         }
 
     def _stats(self) -> Dict[str, Any]:

@@ -10,8 +10,8 @@ import json
 
 import pytest
 
-from repro.batch.manifest import MANIFEST_SCHEMA_NAME
-from repro.batch.scheduler import run_batch
+from repro.batch.manifest import MANIFEST_SCHEMA_NAME, expand_manifest
+from repro.batch.scheduler import check_reports, order_jobs, run_batch
 from repro.cli import main as cli_main
 from repro.robust import faults
 
@@ -116,6 +116,53 @@ def test_pool_worker_death_yields_failed_verdicts(tmp_path):
     for outcome in report.outcomes:
         if outcome.status == "failed":
             assert "worker died" in outcome.error
+
+
+THREE_JOBS = _manifest(
+    [
+        {"circuit": CIRCUIT, "threshold": "inf"},
+        {"circuit": CIRCUIT, "threshold": 1},
+        {"circuit": CIRCUIT, "threshold": 2},
+    ],
+    name="drill",
+)
+
+
+def test_worker_death_drill_verdicts_then_bit_identical_replay(tmp_path):
+    # Kill the worker that picks up the third dispatched job: that job
+    # fails, jobs sharing the broken pool may fail with it, and nothing
+    # crashes the batch.  Fault-free replays on the same cache then
+    # finish the work and converge to bit-identical all-hit reports.
+    victim = order_jobs(expand_manifest(THREE_JOBS))[0][2].job_id
+    cache_dir = str(tmp_path / "cache")
+    with faults.inject(
+        faults.Fault("batch.job", exit_code=17, match={"job": victim})
+    ):
+        faulted = run_batch(THREE_JOBS, jobs=2, cache="use", cache_dir=cache_dir)
+    by_id = {o.job_id: o for o in faulted.outcomes}
+    assert len(faulted.outcomes) == len(by_id) == 3
+    assert by_id[victim].status == "failed"
+    assert "worker died" in by_id[victim].error
+    survivors = {o.job_id for o in faulted.outcomes if o.status == "ok"}
+
+    replay1 = run_batch(THREE_JOBS, jobs=2, cache="use", cache_dir=cache_dir)
+    assert replay1.counts("status") == {"ok": 3}
+    hits = {o.job_id for o in replay1.outcomes if o.cache_status == "hit"}
+    assert hits and survivors <= hits
+
+    replay2 = run_batch(THREE_JOBS, jobs=2, cache="use", cache_dir=cache_dir)
+    assert replay2.hit_rate == 1.0
+    assert check_reports(
+        replay1.as_dict(), replay2.as_dict(), min_hit_rate=1.0
+    ) == []
+
+    clean = run_batch(
+        THREE_JOBS, jobs=2, cache="use", cache_dir=str(tmp_path / "clean")
+    )
+    quality = {o.job_id: o.quality for o in clean.outcomes}
+    assert {o.job_id: o.quality for o in replay2.outcomes} == quality
+    for job_id in survivors:
+        assert by_id[job_id].quality == quality[job_id]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.cache.store import (
     use_cache,
     validate_entry,
 )
+from repro.request import build_request
 
 CIRCUIT = "s5378"
 SCALE = 0.1
@@ -42,8 +43,11 @@ def mapped():
 
 @pytest.fixture(scope="module")
 def kway_result(mapped):
-    return api.partition(mapped, scale=SCALE, seed=1994, n_solutions=1,
-                         seeds_per_carve=2, devices_per_carve=2)
+    request = build_request(
+        "partition", mapped.name, scale=SCALE, seed=1994, n_solutions=1,
+        seeds_per_carve=2, devices_per_carve=2,
+    )
+    return api.run_request(request, circuit=mapped)
 
 
 def _entry_for(mapped, solution, seed=1994, config=None):
@@ -277,10 +281,10 @@ def test_set_cache_installs_and_clears(tmp_path):
 
 
 def _partition(**kwargs):
-    return api.partition(
-        CIRCUIT, scale=SCALE, seed=1994, n_solutions=1,
+    return api.run_request(build_request(
+        "partition", CIRCUIT, scale=SCALE, seed=1994, n_solutions=1,
         seeds_per_carve=2, devices_per_carve=2, **kwargs
-    )
+    ))
 
 
 def test_api_miss_then_hit_is_bit_identical(store):
@@ -355,8 +359,11 @@ def test_api_hit_is_verified_before_trust(store):
 
 def test_api_bipartition_roundtrip(store):
     with use_cache(store):
-        cold = api.bipartition(CIRCUIT, scale=SCALE, seed=3, runs=2, cache="use")
-        warm = api.bipartition(CIRCUIT, scale=SCALE, seed=3, runs=2, cache="use")
+        request = build_request(
+            "bipartition", CIRCUIT, scale=SCALE, seed=3, runs=2, cache="use"
+        )
+        cold = api.run_request(request)
+        warm = api.run_request(request)
     assert cold.cache_info["status"] == "miss"
     assert warm.cache_info["status"] == "hit"
     assert warm.solution.as_dict() == cold.solution.as_dict()

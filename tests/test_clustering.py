@@ -1,16 +1,14 @@
-"""Tests for the multilevel clustering extension."""
+"""Object-graph coarsening (the reference V-cycle's building block) and
+the multilevel V-cycle's bipartitioning contract."""
 
 import random
 
 import pytest
 
 from repro.hypergraph.metrics import cut_size, partition_clb_sizes
-from repro.partition.clustering import (
-    MultilevelConfig,
-    coarsen_once,
-    multilevel_bipartition,
-)
 from repro.partition.fm import FMConfig, fm_bipartition
+from repro.partition.multilevel import MultilevelConfig, vcycle_bipartition
+from repro.partition.reference import coarsen_once
 
 
 class TestCoarsening:
@@ -47,14 +45,14 @@ class TestCoarsening:
 
 class TestMultilevel:
     def test_assignment_valid(self, small_hg):
-        result = multilevel_bipartition(small_hg, MultilevelConfig(seed=1))
+        result = vcycle_bipartition(small_hg, MultilevelConfig(seed=1))
         assert len(result.assignment) == len(small_hg.nodes)
         assert set(result.assignment) <= {0, 1}
         assert cut_size(small_hg, result.assignment) == result.cut_size
 
     def test_balance_respected(self, small_hg):
         config = MultilevelConfig(seed=1, balance_tolerance=0.05)
-        result = multilevel_bipartition(small_hg, config)
+        result = vcycle_bipartition(small_hg, config)
         sizes = partition_clb_sizes(small_hg, result.assignment)
         total = small_hg.total_clb_weight()
         assert abs(sizes.get(0, 0) - total / 2) <= max(1, 0.05 * total) + 1
@@ -65,21 +63,21 @@ class TestMultilevel:
         # exercised by benchmarks/bench_ablation_multilevel.py).
         flats = [fm_bipartition(small_hg, FMConfig(seed=s)).cut_size for s in range(4)]
         mls = [
-            multilevel_bipartition(small_hg, MultilevelConfig(seed=s)).cut_size
+            vcycle_bipartition(small_hg, MultilevelConfig(seed=s)).cut_size
             for s in range(4)
         ]
         assert sum(mls) / len(mls) <= 1.25 * sum(flats) / len(flats)
 
     def test_replication_refine(self, small_hg):
-        result = multilevel_bipartition(
+        result = vcycle_bipartition(
             small_hg, MultilevelConfig(seed=1, replication_refine=True)
         )
         assert result.replication is not None
         assert result.final_cut <= result.cut_size
 
     def test_deterministic(self, small_hg):
-        a = multilevel_bipartition(small_hg, MultilevelConfig(seed=7))
-        b = multilevel_bipartition(small_hg, MultilevelConfig(seed=7))
+        a = vcycle_bipartition(small_hg, MultilevelConfig(seed=7))
+        b = vcycle_bipartition(small_hg, MultilevelConfig(seed=7))
         assert a.assignment == b.assignment
 
     def test_tiny_graph_short_circuit(self):
@@ -91,5 +89,5 @@ class TestMultilevel:
                 {"name": "b", "inputs": ["n1"], "outputs": ["n2"], "supports": [(0,)]},
             ]
         )
-        result = multilevel_bipartition(hg, MultilevelConfig(seed=0, min_nodes=64))
+        result = vcycle_bipartition(hg, MultilevelConfig(seed=0, min_nodes=64))
         assert result.levels == 1  # no coarsening needed

@@ -25,6 +25,7 @@ from repro.obs.ledger import (
     use_ledger,
     validate_record,
 )
+from repro.request import build_request
 
 
 @pytest.fixture
@@ -197,11 +198,17 @@ def test_set_ledger_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _run(mapped, verb="partition", **kwargs):
+    """``run_request`` on a live mapped netlist (no name to resolve)."""
+    request = build_request(verb, mapped.name, **kwargs)
+    return api.run_request(request, circuit=mapped)
+
+
 def test_api_partition_autolog_is_deterministic(tmp_path, small_mapped):
     ledger = Ledger(str(tmp_path / "led"))
     with use_ledger(ledger):
-        first = api.partition(small_mapped, threshold=1, seed=3)
-        second = api.partition(small_mapped, threshold=1, seed=3)
+        first = _run(small_mapped, threshold=1, seed=3)
+        second = _run(small_mapped, threshold=1, seed=3)
     assert first.run_record is not None and second.run_record is not None
     assert first.run_record["run_key"] == second.run_record["run_key"]
     assert stable_view(first.run_record) == stable_view(second.run_record)
@@ -216,14 +223,14 @@ def test_api_partition_autolog_is_deterministic(tmp_path, small_mapped):
 
 def test_api_without_ledger_attaches_no_record(small_mapped, monkeypatch):
     monkeypatch.delenv(LEDGER_ENV_VAR, raising=False)
-    result = api.partition(small_mapped, threshold=1, seed=3)
+    result = _run(small_mapped, threshold=1, seed=3)
     assert result.run_record is None
 
 
 def test_api_bipartition_autolog(tmp_path, small_mapped):
     ledger = Ledger(str(tmp_path / "led"))
     with use_ledger(ledger):
-        result = api.bipartition(small_mapped, runs=2, seed=3)
+        result = _run(small_mapped, "bipartition", runs=2, seed=3)
     record = result.run_record
     assert record is not None and record["kind"] == "bipartition"
     assert record["quality"]["best_cut"] == result.solution.best_cut
@@ -233,7 +240,7 @@ def test_api_bipartition_autolog(tmp_path, small_mapped):
 def test_api_runner_path_stores_volatile_runner_log(tmp_path, small_mapped):
     ledger = Ledger(str(tmp_path / "led"))
     with use_ledger(ledger):
-        result = api.partition(small_mapped, threshold=1, seed=3, max_retries=0)
+        result = _run(small_mapped, threshold=1, seed=3, max_retries=0)
     record = result.run_record
     assert record is not None and record["runner"]["attempts"]
     # runner data is volatile: it never enters the determinism contract

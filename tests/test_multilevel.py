@@ -6,7 +6,7 @@ import pytest
 
 from repro.hypergraph.compact import CompactHypergraph
 from repro.hypergraph.metrics import cut_size, partition_clb_sizes
-from repro.partition.clustering import _legacy_multilevel_bipartition
+from repro.partition.reference import _legacy_multilevel_bipartition
 from repro.partition.kway import KWayConfig
 from repro.partition.multilevel import (
     MULTILEVEL_AUTO_MIN_CELLS,

@@ -361,25 +361,8 @@ def test_cli_analyze_requires_circuit_or_metrics():
 
 
 # ---------------------------------------------------------------------------
-# Deprecated parameter shims
+# Flow parameter validation
 # ---------------------------------------------------------------------------
-
-
-def test_flow_style_kwarg_warns_and_still_works(small_mapped):
-    with pytest.warns(DeprecationWarning):
-        a = kway_solution(small_mapped, threshold=1, seed=2, style="functional")
-    b = kway_solution(small_mapped, threshold=1, seed=2, algorithm="fm+functional")
-    assert a.cost.total_cost == b.cost.total_cost
-
-
-def test_runner_engine_kwarg_warns(small_mapped):
-    from repro.robust.runner import ResilientRunner
-
-    with pytest.warns(DeprecationWarning):
-        result = ResilientRunner(max_retries=0).kway(
-            small_mapped, threshold=1, seed=2, engine="fm+functional"
-        )
-    assert result.solution is not None
 
 
 def test_flow_rejects_unknown_algorithm(small_mapped):

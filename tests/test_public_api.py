@@ -48,7 +48,7 @@ def test_version():
         "repro.partition.fm",
         "repro.partition.fm_replication",
         "repro.partition.kway",
-        "repro.partition.clustering",
+        "repro.partition.reference",
         "repro.core",
         "repro.core.flow",
         "repro.core.results",
@@ -112,8 +112,6 @@ def test_api_surface_is_locked():
         "MultilevelMode",
         "load",
         "map",
-        "bipartition",
-        "partition",
         "run_request",
         "cached_result",
         "analyze",
@@ -133,15 +131,20 @@ def test_api_surface_is_locked():
 
 def test_api_facade_quickstart():
     """The README's recommended entry point works end to end."""
+    from dataclasses import replace
+
     from repro import api
 
-    result = api.partition("s5378", scale=0.08, threshold=1, seed=2)
+    request = api.PartitionRequest(
+        verb="partition", circuit="s5378", scale=0.08, threshold=1, seed=2
+    )
+    result = api.run_request(request)
     assert result.kind == "partition"
     assert result.schema_version == api.SCHEMA_VERSION
     assert result.solution.cost.total_cost > 0
     assert result.run_log is None and result.metrics == {}
 
-    resilient = api.partition("s5378", scale=0.08, threshold=1, seed=2, deadline=60)
+    resilient = api.run_request(replace(request, deadline=60))
     assert resilient.run_log is not None
     assert resilient.solution.cost.total_cost == result.solution.cost.total_cost
 

@@ -13,7 +13,10 @@ from repro.batch.manifest import (
 )
 from repro.cache.store import SolutionCache, cache_key, key_for_request, use_cache
 from repro.obs.ledger import config_fingerprint, netlist_fingerprint, run_key
+from repro.partition.devices import XC3000_LIBRARY, DeviceLibrary
 from repro.request import (
+    BIPARTITION_PARAMS,
+    PARTITION_PARAMS,
     REQUEST_SCHEMA_NAME,
     Algorithm,
     CachePolicy,
@@ -154,14 +157,18 @@ def test_int_vs_float_threshold_changes_the_key():
 # ---------------------------------------------------------------------------
 
 
-def test_multilevel_bool_shim_warns():
-    with pytest.deprecated_call():
-        mode = MultilevelMode.coerce(True, warn=True)
-    assert mode is MultilevelMode.ON and mode.tri is True
+def test_multilevel_bool_wire_spelling_coerces_silently():
+    # true/false/null is the documented JSON and manifest spelling.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        mode = MultilevelMode.coerce(True)
+        assert mode is MultilevelMode.ON and mode.tri is True
+        assert MultilevelMode.coerce(False) is MultilevelMode.OFF
         assert MultilevelMode.coerce(None) is MultilevelMode.AUTO
         assert MultilevelMode.coerce("off").tri is False
+        doc = quick_partition_request().to_dict()
+        doc["multilevel"] = True
+        assert PartitionRequest.from_dict(doc).multilevel is MultilevelMode.ON
     with pytest.raises(RequestError):
         MultilevelMode.coerce("sideways")
 
@@ -172,24 +179,26 @@ def test_cache_policy_coercion_message():
         CachePolicy.coerce("bogus")
 
 
-def test_legacy_kwarg_shim_warns_and_matches(tmp_path):
+def test_live_netlist_request_matches_the_named_request(tmp_path):
+    # A caller holding the netlist object passes it beside the request;
+    # identity is the netlist hash, so it hits what the named run stored.
     request = quick_partition_request()
+    mapped = api.map(CIRCUIT, scale=SCALE, seed=request.mapping_seed).solution
+    live = build_request(
+        "partition", mapped.name, scale=SCALE, seed=7, threshold=1,
+        n_solutions=1, multilevel="off",
+    )
     with use_cache(SolutionCache(str(tmp_path / "cache"))):
         via_request = api.run_request(request, cache="refresh")
-        with pytest.deprecated_call():
-            via_kwargs = api.partition(
-                CIRCUIT,
-                scale=SCALE,
-                seed=7,
-                threshold=1,
-                n_solutions=1,
-                multilevel=False,
-                cache="use",
-            )
-    assert via_kwargs.cache_info.get("status") == "hit"
-    assert via_kwargs.solution.cost.total_cost == via_request.solution.cost.total_cost
+        via_object = api.run_request(live, circuit=mapped, cache="use")
+    assert via_object.cache_info.get("status") == "hit"
+    # A live library must carry the name the cache key hashes.
+    tiny = DeviceLibrary(list(XC3000_LIBRARY.devices[:2]), name="tiny")
+    with pytest.raises(RequestError, match="tiny"):
+        api.run_request(live, circuit=mapped, library=tiny)
+    assert via_object.solution.cost.total_cost == via_request.solution.cost.total_cost
     assert (
-        json.dumps(via_kwargs.to_dict()["solution"], sort_keys=True)
+        json.dumps(via_object.to_dict()["solution"], sort_keys=True)
         == json.dumps(via_request.to_dict()["solution"], sort_keys=True)
     )
 
@@ -247,3 +256,26 @@ def test_manifest_bad_params_surface_as_manifest_error():
     manifest["jobs"][0]["threshold"] = "sideways"
     with pytest.raises(ManifestError):
         requests_from_manifest(manifest)
+
+
+# ---------------------------------------------------------------------------
+# One defaults table
+# ---------------------------------------------------------------------------
+
+
+def test_omitted_threshold_resolves_per_verb():
+    from repro.cli import build_parser
+
+    bi = PartitionRequest.from_dict({"verb": "bipartition", "circuit": CIRCUIT})
+    assert bi.threshold == 0 == BIPARTITION_PARAMS["threshold"]
+    assert build_request("bipartition", CIRCUIT) == bi
+    manifest = {
+        "schema": "repro-batch-manifest/1",
+        "jobs": [{"verb": "bipartition", "circuit": CIRCUIT}],
+    }
+    assert expand_manifest(manifest)[0].to_request() == bi
+    assert build_parser().parse_args(["bipartition", CIRCUIT]).threshold == 0
+    # Partition defaults (and with them partition cache keys) stay put.
+    part = PartitionRequest.from_dict({"verb": "partition", "circuit": CIRCUIT})
+    assert part.threshold == 1 == PARTITION_PARAMS["threshold"]
+    assert build_parser().parse_args(["partition", CIRCUIT]).threshold == "1"

@@ -6,7 +6,9 @@ import threading
 import pytest
 
 from repro import api
+from repro.cache.store import SolutionCache, use_cache
 from repro.request import build_request
+from repro.robust import faults
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import Job, JobQueue, JobTable
 from repro.service.quota import ClientQuota, TokenBucket
@@ -177,8 +179,6 @@ def test_submit_solve_hit_and_stream(served):
     # direct api replay against the same store.
     hot = client.submit(request)
     assert hot["_http_status"] == 200 and hot["cached"] is True
-    from repro.cache.store import SolutionCache, use_cache
-
     with use_cache(SolutionCache(cache_dir)):
         direct = api.run_request(request, cache="use")
     assert direct.cache_info.get("status") == "hit"
@@ -243,3 +243,30 @@ def test_rate_limit_429():
                 )
         assert excinfo.value.status == 429
         assert "Retry-After" not in excinfo.value.payload  # header, not body
+
+
+def test_service_recovers_after_a_worker_dies(tmp_path):
+    # The first submitted job's worker hard-exits before solving: the
+    # job fails, the broken pool is replaced, and the next cold request
+    # solves on fresh workers.
+    cache_dir = str(tmp_path / "cache")
+    victim_id = f"j000001-partition-{CIRCUIT}"
+    with faults.inject(
+        faults.Fault("batch.job", exit_code=17, match={"job": victim_id})
+    ):
+        with ServiceThread(workers=1, cache="use", cache_dir=cache_dir) as client:
+            victim = client.submit(quick_request(seed=41))
+            assert victim["job_id"] == victim_id
+            dead = client.wait(victim_id, timeout=60)
+            assert dead["state"] == "failed"
+            assert "worker died" in dead["error"]
+
+            request = quick_request(seed=42)
+            reply = client.submit(request)
+            assert reply["_http_status"] == 202
+            done = client.wait(reply["job_id"], timeout=120)
+            assert done["state"] == "done"
+    with use_cache(SolutionCache(cache_dir)):
+        direct = api.run_request(request, cache="use")
+    assert direct.cache_info.get("status") == "hit"
+    assert done["result"] == direct.to_dict()
