@@ -51,6 +51,7 @@ from repro.core.flow import (
     kway_solution,
     map_circuit,
 )
+from repro.core.results import kway_report_from_solution
 from repro.netlist.benchmarks import benchmark_circuit
 from repro.netlist.bench_io import load_bench
 from repro.netlist.netlist import Netlist
@@ -660,7 +661,9 @@ def _execute_request(
         quality = (
             obs_ledger.quality_from_bipartition(solution)
             if kind == "bipartition"
-            else obs_ledger.quality_from_kway(solution)
+            else obs_ledger.quality_from_kway_report(
+                kway_report_from_solution(solution, request.threshold, elapsed)
+            )
         )
         record = ledger.append(
             obs_ledger.build_record(

@@ -32,7 +32,7 @@ manifest.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Union
 
 from repro.partition.devices import library_by_name
@@ -62,55 +62,25 @@ class ManifestError(ValueError):
 
 @dataclass
 class BatchJob:
-    """One fully-resolved solver invocation from a manifest."""
+    """One fully-resolved job: a request plus its scheduling fields.
+
+    The request is the canonical :class:`~repro.request.PartitionRequest`
+    a worker hands to :func:`repro.api.run_request`, so a batch job and a
+    service or library call with equal fields are bit-identical by
+    construction.  Execution policy (cache, worker count) is the
+    scheduler's call and is passed to ``run_request`` separately.
+    """
 
     job_id: str
-    verb: str  # "partition" | "bipartition"
-    circuit: str
-    seed: int
-    params: Dict[str, Any] = field(default_factory=dict)
+    request: PartitionRequest
     priority: int = 0
     #: Position in the expanded manifest (stable tie-break for dispatch).
     index: int = 0
-    #: Trace-correlation id carried from the submitting request (service
-    #: jobs).  Execution metadata only: never part of the job identity
-    #: used for dedupe/caching (see ``repro.batch.scheduler.job_identity``).
-    trace_id: Optional[str] = None
-    #: Sentinel-file path for mid-solve cancellation (service jobs).
-    #: Execution metadata like ``trace_id``: the pool worker polls it
-    #: through :class:`repro.robust.budget.CancelFlag` and winds down
-    #: gracefully when the submitting side creates the file.
+    #: Sentinel-file path for mid-solve cancellation (service jobs): the
+    #: pool worker polls it through
+    #: :class:`repro.robust.budget.CancelFlag` and winds down gracefully
+    #: when the submitting side creates the file.
     cancel_path: Optional[str] = None
-
-    @property
-    def netlist_id(self) -> tuple:
-        """The (circuit, scale, mapping seed) triple that determines the
-        mapped netlist this job runs on.
-
-        ``repro.api`` maps with ``seed or 1994`` -- at ``scale < 1`` the
-        sampled benchmark depends on that seed, so jobs share a netlist
-        build (and a netlist hash) only when this triple matches.
-        """
-        return (self.circuit, float(self.params["scale"]), self.seed or 1994)
-
-    def to_request(self) -> PartitionRequest:
-        """This job as a canonical :class:`~repro.request.PartitionRequest`.
-
-        The request carries the identity fields only (verb, circuit,
-        seed, solver tunables); execution policy (cache, jobs) is the
-        scheduler's call and is passed to
-        :func:`repro.api.run_request` separately.  Workers execute
-        ``job.to_request()`` and the service submits the very same
-        document over the wire, so a batch job and a service job with
-        equal parameters are bit-identical by construction.
-        """
-        try:
-            request = build_request(
-                self.verb, self.circuit, seed=self.seed, **self.params
-            )
-        except ValueError as exc:
-            raise ManifestError(f"job {self.job_id}: {exc}") from exc
-        return request.with_trace(self.trace_id) if self.trace_id else request
 
 
 def parse_threshold(value: Any) -> Union[int, float]:
@@ -144,17 +114,17 @@ def _job_params(
     raw: Dict[str, Any],
     where: str,
 ) -> Dict[str, Any]:
-    """Merge job fields over manifest defaults over the request defaults.
+    """The request fields a job sets: its own over the manifest defaults.
 
     A *default* naming a field the job's verb does not take is silently
     skipped (one ``defaults`` block may serve mixed-verb manifests, e.g.
     ``n_solutions`` alongside bipartition jobs) -- unless no verb knows
     it at all.  A field set on the *job itself* must be valid for its
-    verb.
+    verb.  Whatever neither sets takes the request's default.
     """
-    known = dict(COMMON_PARAMS)
+    known = set(COMMON_PARAMS)
     known.update(PARTITION_PARAMS if verb == "partition" else BIPARTITION_PARAMS)
-    params = dict(known)
+    params: Dict[str, Any] = {}
     for key, value in defaults.items():
         if key in _META_KEYS:
             continue
@@ -168,9 +138,7 @@ def _job_params(
         if key not in known:
             raise ManifestError(f"{where}: unknown {verb} field {key!r}")
         params[key] = value
-    if "threshold" in params:
-        params["threshold"] = parse_threshold(params["threshold"])
-    if verb == "partition":
+    if "library" in params:
         # Validate the name early; null means the default library.
         try:
             params["library"] = library_by_name(params["library"]).name
@@ -236,10 +204,14 @@ def expand_manifest(manifest: Dict[str, Any]) -> List[BatchJob]:
             raise ManifestError(f"{where}: 'priority' must be an int")
         params = _job_params(verb, defaults, raw, where)
         for seed in _job_seeds(meta, where):
+            try:
+                request = build_request(verb, circuit, seed=seed, **params)
+            except ValueError as exc:
+                raise ManifestError(f"{where}: {exc}") from None
             if verb == "partition":
-                disc = f"T={threshold_label(params['threshold'])}"
+                disc = f"T={threshold_label(request.threshold)}"
             else:
-                disc = f"runs={params['runs']}"
+                disc = f"runs={request.runs}"
             base_id = f"{verb}:{circuit}:{disc}:s{seed}"
             dup = seen_ids.get(base_id, 0)
             seen_ids[base_id] = dup + 1
@@ -247,22 +219,12 @@ def expand_manifest(manifest: Dict[str, Any]) -> List[BatchJob]:
             jobs.append(
                 BatchJob(
                     job_id=job_id,
-                    verb=verb,
-                    circuit=circuit,
-                    seed=seed,
-                    params=params,
+                    request=request,
                     priority=priority,
                     index=len(jobs),
                 )
             )
     return jobs
-
-
-def requests_from_manifest(manifest: Dict[str, Any]) -> List[PartitionRequest]:
-    """Expand a manifest into canonical partition requests, in manifest
-    order -- the bridge from declarative sweeps to the request API the
-    service and :func:`repro.api.run_request` consume."""
-    return [job.to_request() for job in expand_manifest(manifest)]
 
 
 def load_manifest(path: str) -> Dict[str, Any]:
@@ -285,6 +247,5 @@ __all__ = [
     "expand_manifest",
     "load_manifest",
     "parse_threshold",
-    "requests_from_manifest",
     "threshold_label",
 ]

@@ -4,19 +4,19 @@
 
 1. **Expansion** -- the manifest becomes concrete
    :class:`~repro.batch.manifest.BatchJob` instances (seeds unrolled).
-2. **Deduplication** -- jobs with the same cache identity (verb x
-   netlist x canonical params x seed) are split into one *primary* per
-   identity and its *duplicates*.  Primaries run first; duplicates run
-   in a second wave so they land on the entry the primary just stored
-   -- a guaranteed cache hit instead of a redundant solve.
+2. **Deduplication** -- jobs with the same cache identity (their
+   requests minus the execution-only fields) are split into one
+   *primary* per identity and its *duplicates*.  Primaries run first;
+   duplicates run in a second wave so they land on the entry the
+   primary just stored -- a guaranteed cache hit instead of a redundant
+   solve.
 3. **Ordering** -- primaries are dispatched priority-first (higher
    ``priority`` wins, manifest order breaks ties) with same-netlist
    jobs kept adjacent: the mapped-netlist build is the shared prefix of
-   every job on that netlist, and both the worker memo
-   (:mod:`repro.batch.worker`) and the parent's sequential path reuse it
-   only across consecutive jobs.
+   every job on that netlist, and the mapped-netlist memo
+   (:func:`repro.batch.worker.mapped_netlist`) holds only a few.
 4. **Dispatch** -- ``jobs <= 1`` executes in-process; otherwise a
-   :class:`~repro.perf.parallel.BatchJobPool` fans jobs out, each worker
+   :func:`~repro.batch.worker.job_pool` fans jobs out, each worker
    sharing the batch's on-disk solution cache.  Per-job resilience
    (deadline/max_retries/fallback from the manifest) happens *inside*
    the verb via :class:`~repro.robust.runner.ResilientRunner`; the
@@ -50,6 +50,7 @@ from repro.batch.worker import (
     JobOutcome,
     execute_job,
     failed_outcome,
+    job_pool,
     skipped_outcome,
 )
 from repro.obs.ledger import canonical_json
@@ -141,21 +142,24 @@ class BatchReport:
         )
 
 
+#: Request fields that say how to execute, not what to solve.
+_EXECUTION_FIELDS = ("cache", "jobs", "trace_id")
+
+
 def job_identity(job: BatchJob) -> str:
-    """The dedupe identity of a job: everything its cache key hashes.
+    """The dedupe identity of a job: its request minus the
+    execution-only fields.
 
     Two jobs with equal identity resolve to the same cache entry, so
     only one of them (the *primary*) needs to solve; the scheduler
     computes this without technology-mapping anything in the parent.
+    A threshold of ``1`` and one of ``1.0`` stay apart, as their cache
+    keys do.
     """
-    return canonical_json(
-        {
-            "verb": job.verb,
-            "circuit": job.circuit,
-            "seed": job.seed,
-            "params": job.params,
-        }
-    )
+    doc = job.request.to_dict()
+    for name in _EXECUTION_FIELDS:
+        doc.pop(name, None)
+    return canonical_json(doc)
 
 
 def order_jobs(jobs: List[BatchJob]) -> Tuple[List[BatchJob], List[BatchJob]]:
@@ -178,13 +182,13 @@ def order_jobs(jobs: List[BatchJob]) -> Tuple[List[BatchJob], List[BatchJob]]:
 
     group_rank: Dict[tuple, Tuple[int, int]] = {}
     for job in primaries:
-        nid = job.netlist_id
+        nid = job.request.netlist_id
         best = group_rank.get(nid)
         cand = (-job.priority, job.index)
         if best is None or cand < best:
             group_rank[nid] = cand
     primaries.sort(
-        key=lambda j: (group_rank[j.netlist_id], -j.priority, j.index)
+        key=lambda j: (group_rank[j.request.netlist_id], -j.priority, j.index)
     )
     duplicates.sort(key=lambda j: (-j.priority, j.index))
     return primaries, duplicates
@@ -233,10 +237,10 @@ def _run_wave_sequential(
         if budget is not None and budget.expired:
             outcomes.append(skipped_outcome(job, "batch deadline expired"))
             _emit(on_event, {"event": "job.skipped", "job_id": job.job_id},
-                  trace=job.trace_id)
+                  trace=job.request.trace_id)
             continue
         _emit(on_event, {"event": "job.start", "job_id": job.job_id},
-              trace=job.trace_id)
+              trace=job.request.trace_id)
         outcome = execute_job(job, cache=cache)
         outcomes.append(outcome)
         _emit(on_event, {
@@ -245,7 +249,7 @@ def _run_wave_sequential(
             "status": outcome.status,
             "cache_status": outcome.cache_status,
             "wall_seconds": outcome.wall_seconds,
-        }, trace=job.trace_id)
+        }, trace=job.request.trace_id)
     return outcomes
 
 
@@ -260,7 +264,7 @@ def _run_wave_pool(
         if budget is not None and budget.expired:
             break
         _emit(on_event, {"event": "job.start", "job_id": job.job_id},
-              trace=job.trace_id)
+              trace=job.request.trace_id)
         pending.append((job, pool.submit(job)))
     outcomes: List[JobOutcome] = []
     expired = False
@@ -296,11 +300,11 @@ def _run_wave_pool(
             "status": outcome.status,
             "cache_status": outcome.cache_status,
             "wall_seconds": outcome.wall_seconds,
-        }, trace=job.trace_id)
+        }, trace=job.request.trace_id)
     for job in wave[len(pending):]:
         outcomes.append(skipped_outcome(job, "batch deadline expired"))
         _emit(on_event, {"event": "job.skipped", "job_id": job.job_id},
-              trace=job.trace_id)
+              trace=job.request.trace_id)
     return outcomes
 
 
@@ -345,15 +349,15 @@ def run_batch(
         outcomes += run_wave(duplicates, "use" if cache != "off" else "off")
         workers = 1
     else:
-        from repro.perf.parallel import BatchJobPool, resolve_jobs
+        from repro.perf.parallel import resolve_jobs
 
         workers = min(resolve_jobs(jobs), len(primaries))
         pool_dir = store.root if store is not None else None
-        with BatchJobPool(pool_dir, cache, workers) as pool:
+        with job_pool(pool_dir, cache, workers) as pool:
             outcomes = _run_wave_pool(primaries, pool, budget, on_event)
         if duplicates:
             dup_policy = "use" if cache != "off" else "off"
-            with BatchJobPool(
+            with job_pool(
                 pool_dir, dup_policy, min(workers, len(duplicates))
             ) as pool:
                 outcomes += _run_wave_pool(duplicates, pool, budget, on_event)

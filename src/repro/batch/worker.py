@@ -1,22 +1,22 @@
 """Per-job execution: the function a batch worker runs for one job.
 
 :func:`execute_job` turns a :class:`~repro.batch.manifest.BatchJob` into
-a :class:`JobOutcome` by converting it to a canonical
-:class:`~repro.request.PartitionRequest` and executing it through
+a :class:`JobOutcome` by executing its request through
 :func:`repro.api.run_request` with the batch's cache policy.  It runs
-identically in the parent process
-(``--jobs 1``) and inside a :class:`~repro.perf.parallel.BatchJobPool`
-worker; everything it returns is picklable and small (reports and
-quality vectors travel, full solutions stay in the on-disk cache).
+identically in the parent process (``--jobs 1``) and inside a
+:func:`job_pool` worker; everything it returns is picklable and small
+(reports and quality vectors travel, full solutions stay in the on-disk
+cache).
 
-Workers keep a small per-process memo of mapped netlists, so
-consecutive jobs on the same (circuit, scale, seed) triple share one
-technology-mapping build -- the scheduler orders same-netlist jobs
-adjacently to maximize that reuse.
+:func:`mapped_netlist` is the one mapped-netlist memo of a process: a
+bounded, locked map from ``request.netlist_id`` to the technology-mapped
+netlist, shared by batch jobs and the service's hot path.  The scheduler
+orders same-netlist jobs adjacently to maximize the reuse.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, Optional, Tuple
@@ -24,11 +24,15 @@ from typing import Any, Dict, Optional, Tuple
 from repro.batch.manifest import BatchJob
 from repro.core.results import kway_report_from_solution
 from repro.obs import ledger as obs_ledger
+from repro.request import PartitionRequest
+from repro.robust import faults
 
-#: Mapped-netlist memo entries kept per worker process.
-_MEMO_CAP = 4
+#: Mapped netlists kept per process.  serve-mixed's pool of variant
+#: designs is sized against this bound.
+NETLIST_MEMO_CAP = 8
 
-_MAPPED_MEMO: Dict[Tuple[str, float, int], Any] = {}
+_NETLISTS: Dict[Tuple[str, float, int], Any] = {}
+_NETLISTS_LOCK = threading.Lock()
 
 
 @dataclass
@@ -97,18 +101,27 @@ class JobOutcome:
         }
 
 
-def _mapped_for(job: BatchJob) -> Any:
-    """The job's mapped netlist, via the per-process memo."""
+def mapped_netlist(request: PartitionRequest) -> Any:
+    """The request's base mapped netlist, via the per-process memo.
+
+    Used by the front doors only (batch jobs, the service): a library
+    caller of :func:`repro.api.run_request` always maps afresh, so an
+    edited ``.bench`` file never comes back as a stale mapping.
+    Safe to call from several threads; the mapping itself runs outside
+    the lock.
+    """
     from repro import api
 
-    nid = job.netlist_id
-    if nid not in _MAPPED_MEMO:
-        if len(_MAPPED_MEMO) >= _MEMO_CAP:
-            _MAPPED_MEMO.pop(next(iter(_MAPPED_MEMO)))
-        _MAPPED_MEMO[nid] = api.map(
-            job.circuit, scale=nid[1], seed=nid[2]
-        ).solution
-    return _MAPPED_MEMO[nid]
+    nid = request.netlist_id
+    with _NETLISTS_LOCK:
+        mapped = _NETLISTS.get(nid)
+    if mapped is None:
+        mapped = api.map(request.circuit, scale=request.scale, seed=nid[2]).solution
+        with _NETLISTS_LOCK:
+            if len(_NETLISTS) >= NETLIST_MEMO_CAP:
+                _NETLISTS.pop(next(iter(_NETLISTS)))
+            _NETLISTS[nid] = mapped
+    return mapped
 
 
 def execute_job(job: BatchJob, cache: str = "use") -> JobOutcome:
@@ -118,19 +131,18 @@ def execute_job(job: BatchJob, cache: str = "use") -> JobOutcome:
     Failures are captured, never raised: a batch must report a broken
     job and keep going (the per-job resilient-runner policies inside the
     verb already handled retry/degradation before an exception escapes).
+    A job solves in one process: the batch fans out over jobs, never
+    inside one.
     """
     from repro import api
 
+    request = job.request
     start = perf_counter()
     try:
-        request = job.to_request()
-        mapped = _mapped_for(job)
-        # One execution path for every front door: the job becomes a
-        # canonical request and runs through the same run_request flow
-        # library callers, the CLI and the service use (the memoized
-        # mapped netlist rides the side-channel).
-        result = api.run_request(request, circuit=mapped, cache=cache)
-        if job.verb == "partition":
+        result = api.run_request(
+            request, circuit=mapped_netlist(request), cache=cache, jobs=1
+        )
+        if request.verb == "partition":
             report = kway_report_from_solution(
                 result.solution, request.threshold, result.elapsed_seconds
             )
@@ -139,21 +151,15 @@ def execute_job(job: BatchJob, cache: str = "use") -> JobOutcome:
             report = result.solution
             quality = obs_ledger.quality_from_bipartition(report)
     except Exception as exc:  # noqa: BLE001 - job isolation boundary
-        return JobOutcome(
-            job_id=job.job_id,
-            verb=job.verb,
-            circuit=job.circuit,
-            seed=job.seed,
-            status="failed",
-            wall_seconds=perf_counter() - start,
-            error=f"{type(exc).__name__}: {exc}",
+        return failed_outcome(
+            job, f"{type(exc).__name__}: {exc}", wall_seconds=perf_counter() - start
         )
     info = result.cache_info or {}
     return JobOutcome(
         job_id=job.job_id,
-        verb=job.verb,
-        circuit=job.circuit,
-        seed=job.seed,
+        verb=request.verb,
+        circuit=request.circuit,
+        seed=request.seed,
         status="ok" if result.ok else "degraded",
         cache_status=info.get("status", "off"),
         key=info.get("key"),
@@ -169,35 +175,83 @@ def skipped_outcome(job: BatchJob, reason: str) -> JobOutcome:
     """The outcome of a job the scheduler never (fully) ran."""
     return JobOutcome(
         job_id=job.job_id,
-        verb=job.verb,
-        circuit=job.circuit,
-        seed=job.seed,
+        verb=job.request.verb,
+        circuit=job.request.circuit,
+        seed=job.request.seed,
         status="skipped",
         error=reason,
     )
 
 
-def failed_outcome(job: BatchJob, reason: str) -> JobOutcome:
-    """The outcome of a job whose *worker* died out from under it.
-
-    :func:`execute_job` already converts in-job exceptions to ``failed``
-    verdicts; this covers the layer below -- a pool worker killed hard
-    (OOM, ``os._exit``, a broken process pool), where no outcome ever
-    came back and the scheduler must synthesize the verdict.
-    """
+def failed_outcome(
+    job: BatchJob, reason: str, wall_seconds: float = 0.0
+) -> JobOutcome:
+    """The outcome of a job that raised, or whose *worker* died out from
+    under it (OOM, ``os._exit``, a broken process pool) so that no
+    outcome ever came back and the scheduler synthesizes the verdict."""
     return JobOutcome(
         job_id=job.job_id,
-        verb=job.verb,
-        circuit=job.circuit,
-        seed=job.seed,
+        verb=job.request.verb,
+        circuit=job.request.circuit,
+        seed=job.request.seed,
         status="failed",
+        wall_seconds=wall_seconds,
         error=reason,
     )
 
 
+# ---------------------------------------------------------------------------
+# The job pool
+# ---------------------------------------------------------------------------
+
+
+def _pool_state(shared: Tuple[Optional[str], str]) -> str:
+    """Pool-worker state: install the batch's solution cache; the task
+    needs only the cache policy."""
+    cache_dir, policy = shared
+    if cache_dir:
+        from repro.cache.store import SolutionCache, set_cache
+
+        set_cache(SolutionCache(cache_dir))
+    return policy
+
+
+def _pool_task(policy: str, job: BatchJob) -> JobOutcome:
+    from repro.robust.budget import CancelFlag, cancel_scope
+
+    # Worker-only fault site: a drill kills (exit_code=) or fails the
+    # worker that picked up one particular job, before any solve work.
+    faults.maybe_fire("batch.job", job=job.job_id)
+    # The job's cancellation sentinel holds for the whole solve: any
+    # Budget the solvers poll reports expired once the submitting side
+    # (the service's DELETE handler) touches the file, so a cancelled
+    # job frees its worker slot at the next checkpoint instead of
+    # running to its deadline.
+    flag = CancelFlag(job.cancel_path) if job.cancel_path else None
+    with cancel_scope(flag):
+        return execute_job(job, cache=policy)
+
+
+def job_pool(cache_dir: Optional[str], policy: str, workers: int) -> Any:
+    """A :class:`~repro.perf.parallel.WorkerPool` running whole jobs.
+
+    Every worker installs the batch's solution cache at startup, so all
+    jobs in all workers read and write one sharded store (atomic
+    tmp+rename writes make concurrent same-key stores race benignly).
+    Jobs are ``submit``-ed one by one: the scheduler and the service
+    need per-job futures, not an ordered map.
+    """
+    from repro.perf.parallel import WorkerPool
+
+    return WorkerPool(_pool_state, (cache_dir, policy), _pool_task, workers)
+
+
 __all__ = [
     "JobOutcome",
+    "NETLIST_MEMO_CAP",
     "execute_job",
     "failed_outcome",
+    "job_pool",
+    "mapped_netlist",
     "skipped_outcome",
 ]

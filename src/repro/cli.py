@@ -16,10 +16,12 @@ obs          Observability utilities: validate JSONL event streams,
              export merged Perfetto/Chrome timelines, render or scrape
              Prometheus metrics.
 
-``bipartition`` and ``partition`` flags are normalized through one
-parse point -- a :class:`repro.request.PartitionRequest` -- so the CLI,
-``repro.api``, batch manifests and the service all speak the same
-schema-versioned request language.
+``bipartition`` and ``partition`` build one
+:class:`repro.request.PartitionRequest` from their flags and solve it
+with :func:`repro.api.run_request` -- the execution path of
+``repro.api``, batch manifests and the service too -- so a CLI run
+stores under, and replays from, the same cache key as any other front
+door.
 
 ``bipartition`` and ``partition`` accept ``--ledger [PATH]`` to append
 the run's quality record to the ledger (``results/ledger`` by default);
@@ -34,9 +36,8 @@ import contextlib
 import json
 import os
 import sys
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Union
 
-from repro.core.flow import bipartition_experiment, kway_experiment
 from repro.netlist.bench_io import load_bench
 from repro.netlist.benchmarks import BENCHMARK_NAMES, benchmark_circuit
 from repro.netlist.netlist import Netlist
@@ -95,7 +96,7 @@ def _add_multilevel_arg(parser: argparse.ArgumentParser) -> None:
 def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--deadline",
-        type=float,
+        type=_json_number,
         default=None,
         metavar="SECONDS",
         help="overall wall-clock budget; routes through the resilient runner "
@@ -149,25 +150,12 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cli_ledger(args: argparse.Namespace):
-    """The Ledger in effect for this invocation, or ``None``."""
-    from repro.obs.ledger import resolve_ledger
-
-    return resolve_ledger(getattr(args, "ledger", None))
-
-
 @contextlib.contextmanager
-def _observability(
-    args: argparse.Namespace, capture: bool = False
-) -> Iterator[Tuple[Optional[str], List[dict]]]:
-    """Install an enabled registry when tracing or ledger capture is on.
+def _observability(args: argparse.Namespace) -> Iterator[Optional[str]]:
+    """Install an enabled registry streaming JSONL when tracing is on.
 
-    Yields ``(trace_path, events)``: the JSONL destination (``None`` when
-    tracing is off) and the live in-memory event list feeding the ledger's
-    convergence distillation (empty and inert when ``capture`` is off).
-    With both active, a :class:`~repro.obs.events.TeeEmitter` fans the
-    stream out to the file and the list.  Final metric values are flushed
-    and the file closed on the way out.
+    Yields the trace destination (``None`` when tracing is off).  Final
+    metric values are flushed and the file closed on the way out.
     """
     trace_dir = getattr(args, "trace_dir", None)
     trace = bool(
@@ -175,83 +163,184 @@ def _observability(
         or getattr(args, "metrics_out", None)
         or trace_dir
     )
-    if not trace and not capture:
-        yield None, []
+    if not trace:
+        yield None
         return
-    from repro.obs.events import JsonlEmitter, ListEmitter, TeeEmitter
+    from repro.obs.events import JsonlEmitter
     from repro.obs.metrics import MetricsRegistry, use_registry
 
-    path = None
-    if trace:
-        if trace_dir:
-            os.makedirs(trace_dir, exist_ok=True)
-            trace_dir = os.path.abspath(trace_dir)
-        path = args.metrics_out or (
-            os.path.join(trace_dir, "main.jsonl") if trace_dir else "trace.jsonl"
-        )
-    collector = ListEmitter() if capture else None
-    if trace and capture:
-        emitter = TeeEmitter(JsonlEmitter(path), collector)
-    elif trace:
-        emitter = JsonlEmitter(path)
-    else:
-        emitter = collector
-    registry = MetricsRegistry(enabled=True, emitter=emitter, trace_dir=trace_dir)
+    if trace_dir:
+        os.makedirs(trace_dir, exist_ok=True)
+        trace_dir = os.path.abspath(trace_dir)
+    path = args.metrics_out or (
+        os.path.join(trace_dir, "main.jsonl") if trace_dir else "trace.jsonl"
+    )
+    registry = MetricsRegistry(
+        enabled=True, emitter=JsonlEmitter(path), trace_dir=trace_dir
+    )
     registry.emit_meta()
     try:
         with use_registry(registry):
-            yield path, (collector.events if collector is not None else [])
+            yield path
     finally:
         registry.close()
 
 
-def _ledger_log(
-    ledger,
-    events: List[dict],
-    kind: str,
-    mapped,
-    config: dict,
-    seed: int,
-    quality: dict,
-    elapsed_seconds: Optional[float] = None,
-    runner_summary: Optional[dict] = None,
-) -> None:
-    """Append one record to ``ledger`` and announce it on stderr."""
-    from repro.obs import ledger as obs_ledger
-
-    record = ledger.append(
-        obs_ledger.build_record(
-            kind=kind,
-            circuit=mapped.name,
-            mapped=mapped,
-            config=config,
-            seed=seed,
-            quality=quality,
-            convergence=obs_ledger.distill_convergence(events),
-            elapsed_seconds=elapsed_seconds,
-            runner_summary=runner_summary,
-        )
-    )
-    print(f"logged run {record['run_id']} to {ledger.path}", file=sys.stderr)
-
-
-def _resilient_runner(args: argparse.Namespace):
-    """Build a ResilientRunner when any resilience flag was given, else None."""
-    if args.deadline is None and args.max_retries is None and not args.no_fallback:
-        return None
-    from repro.robust.errors import ConfigError
-    from repro.robust.runner import ResilientRunner
-
-    if args.deadline is not None and args.deadline < 0:
-        raise SystemExit("--deadline must be non-negative")
+def _json_number(text: str) -> Union[int, float]:
+    """A numeric flag read the way JSON reads it: ``1`` is the int every
+    other front door sends (cache keys tell ``1`` from ``1.0``), ``0.5``
+    and ``inf`` are floats."""
     try:
-        return ResilientRunner(
-            deadline=args.deadline,
-            max_retries=2 if args.max_retries is None else args.max_retries,
-            fallback=not args.no_fallback,
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _read_delta(path: Optional[str]) -> Optional[dict]:
+    if not path:
+        return None
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read delta {path!r}: {exc}") from exc
+
+
+def _request_from_args(args: argparse.Namespace) -> Any:
+    """The :class:`~repro.request.PartitionRequest` the flags describe."""
+    from repro.request import RequestError, build_request
+
+    fields: dict = dict(
+        scale=args.scale,
+        seed=args.seed,
+        threshold=args.threshold,
+        multilevel=args.multilevel,
+        jobs=args.jobs,
+        deadline=args.deadline,
+        max_retries=args.max_retries,
+        fallback=False if args.no_fallback else None,
+    )
+    if args.command == "bipartition":
+        fields.update(algorithm=args.algorithm, runs=args.runs)
+    else:
+        with contextlib.suppress(ValueError):  # the request names bad ones
+            fields["threshold"] = _json_number(args.threshold)
+        fields.update(
+            n_solutions=args.solutions,
+            delta=_read_delta(args.delta),
+            warm_start=args.warm_start,
+            cache=args.cache,
         )
-    except ConfigError as exc:
-        raise SystemExit(f"bad resilience flags: {exc}") from exc
+    try:
+        return build_request(args.command, args.circuit, **fields)
+    except RequestError as exc:
+        raise SystemExit(str(exc)) from exc
+
+
+def _engine(log: Any, verb: str) -> str:
+    """The engine behind a resilient run's solution (``RunResult`` has
+    none): k-way returns its last, best verified checkpoint, bipartition
+    returns on its first successful attempt."""
+    kind = "checkpoint" if verb == "partition" else "attempt"
+    events = [event for event in log.events if event.kind == kind]
+    return events[-1].engine if events else ""
+
+
+def _summary_line(report: Any, result: Any, engine: Optional[str]) -> str:
+    """The one-line human view of a solver verb's result."""
+    if result.kind == "bipartition":
+        line = (
+            f"{report.circuit}: {report.algorithm}, {report.runs} runs -> "
+            f"best cut {report.best_cut}, avg cut {report.avg_cut:.1f}, "
+            f"avg replicated {report.avg_replicated:.1f}"
+        )
+    else:
+        line = (
+            f"{report.circuit}: k={report.k} cost={report.total_cost:.0f} "
+            f"devices={report.device_counts} "
+            f"CLB util {100 * report.avg_clb_utilization:.1f}% "
+            f"IOB util {100 * report.avg_iob_utilization:.1f}% "
+            f"replicated {100 * report.replicated_fraction:.1f}% "
+            f"feasible={report.feasible}"
+        )
+    line += f" ({result.elapsed_seconds:.2f}s"
+    if result.run_log is not None:
+        line += f", {engine}, {len(result.run_log.attempts())} attempt(s)"
+    line += ")"
+    cache_info = result.cache_info or {}
+    if cache_info:
+        line += f" cache={cache_info.get('status')}"
+    warm = cache_info.get("warm") or {}
+    if warm.get("mode") == "warm":
+        line += (
+            f" warm-start: {warm.get('dirty_cells')} dirty cells, "
+            f"{warm.get('speedup', 0.0):.1f}x vs ancestor"
+        )
+    elif warm:
+        line += f" warm-start declined: {warm.get('reason')}"
+    return line
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    """``bipartition`` / ``partition``: the flags become one request,
+    solved by :func:`repro.api.run_request` like every other front door."""
+    from repro import api
+    from repro.cache.store import SolutionCache, use_cache
+    from repro.core.results import kway_report_from_solution
+    from repro.obs.ledger import Ledger, resolve_ledger, use_ledger
+    from repro.robust.errors import ReproError
+
+    request = _request_from_args(args)
+    with contextlib.ExitStack() as scope:
+        trace_path = scope.enter_context(_observability(args))
+        if args.ledger:
+            scope.enter_context(use_ledger(Ledger(args.ledger)))
+        if getattr(args, "cache_dir", None):
+            scope.enter_context(use_cache(SolutionCache(args.cache_dir)))
+        ledger = resolve_ledger()
+        mapped = technology_map(
+            _resolve_circuit(request.circuit, request.scale, request.mapping_seed)
+        )
+        try:
+            result = api.run_request(request, circuit=mapped)
+        except ReproError as exc:
+            raise SystemExit(str(exc)) from exc
+    if trace_path is not None:
+        print(f"trace written to {trace_path}", file=sys.stderr)
+    if result.run_record is not None and ledger is not None:
+        print(
+            f"logged run {result.run_record['run_id']} to {ledger.path}",
+            file=sys.stderr,
+        )
+    problems = None
+    if getattr(args, "verify", False):
+        from repro.partition.verify import verify_solution
+
+        problems = verify_solution(request.apply_delta(mapped)[0], result.solution)
+    log = result.run_log
+    engine = _engine(log, request.verb) if log is not None else None
+    report = result.solution
+    if request.verb == "partition":
+        report = kway_report_from_solution(
+            result.solution, request.threshold, result.elapsed_seconds
+        )
+    if args.json:
+        doc = {**report.as_dict(), **result.to_dict()}
+        if log is not None:
+            doc.update(
+                engine=engine, run_log_summary=log.summary(), run_log=log.as_dicts()
+            )
+        if problems is not None:
+            doc["violations"] = problems
+        print(json.dumps(doc, indent=2, sort_keys=True, default=str))
+    else:
+        line = _summary_line(report, result, engine)
+        if problems is not None:
+            line += f" violations={len(problems)}"
+        print(line)
+        for problem in problems or ():
+            print(f"VIOLATION: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -279,336 +368,10 @@ def _cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bipartition(args: argparse.Namespace) -> int:
-    ledger = _cli_ledger(args)
-    with _observability(args, capture=ledger is not None) as (trace_path, events):
-        code = _run_bipartition(args, ledger, events)
-    if trace_path is not None:
-        print(f"trace written to {trace_path}", file=sys.stderr)
-    return code
-
-
-def _run_bipartition(args: argparse.Namespace, ledger=None, events=()) -> int:
-    from repro.obs.ledger import quality_from_bipartition
-    from repro.request import RequestError, build_request
-
-    # The single parse point: flags normalize into a PartitionRequest
-    # (enum spellings, threshold, tri-state multilevel).  Execution and
-    # the ledger config dict below stay byte-identical to the historical
-    # CLI behaviour -- the request only vouches for the inputs.
-    try:
-        request = build_request(
-            "bipartition",
-            args.circuit,
-            scale=args.scale,
-            seed=args.seed,
-            algorithm=args.algorithm,
-            runs=args.runs,
-            threshold=args.threshold,
-            multilevel=args.multilevel,
-            jobs=args.jobs,
-        )
-    except RequestError as exc:
-        raise SystemExit(str(exc)) from exc
-    netlist = _resolve_circuit(request.circuit, request.scale, request.seed)
-    mapped = technology_map(netlist)
-    config = {
-        "verb": "bipartition",
-        "algorithm": request.algorithm.value,
-        "runs": request.runs,
-        "threshold": request.threshold,
-        "scale": request.scale,
-    }
-    if request.resolve_multilevel(mapped.n_cells):
-        # Fingerprint marker, present only when the V-cycle is active.
-        config["multilevel"] = True
-    runner = _resilient_runner(args)
-    if runner is not None:
-        result = runner.bipartition(
-            mapped,
-            algorithm=request.algorithm.value,
-            runs=request.runs,
-            threshold=request.threshold,
-            seed=request.seed,
-            jobs=request.jobs,
-            multilevel=request.multilevel.tri,
-        )
-        report = result.report
-        if ledger is not None:
-            _ledger_log(
-                ledger,
-                list(events),
-                kind="bipartition",
-                mapped=mapped,
-                config=config,
-                seed=request.seed,
-                quality=quality_from_bipartition(report),
-                elapsed_seconds=result.elapsed,
-                runner_summary=result.log.as_record(),
-            )
-        if args.json:
-            payload = report.as_dict()
-            payload["engine"] = result.engine
-            payload["run_log"] = result.log.as_dicts()
-            print(json.dumps(payload, indent=2))
-        else:
-            print(
-                f"{report.circuit}: {result.engine}, {report.runs} runs -> "
-                f"best cut {report.best_cut}, avg cut {report.avg_cut:.1f} "
-                f"({result.elapsed:.2f}s, "
-                f"{len(result.log.attempts())} attempt(s))"
-            )
-        return 0
-    report = bipartition_experiment(
-        mapped,
-        algorithm=request.algorithm.value,
-        runs=request.runs,
-        threshold=request.threshold,
-        seed=request.seed,
-        jobs=request.jobs,
-        multilevel=request.multilevel.tri,
-    )
-    if ledger is not None:
-        _ledger_log(
-            ledger,
-            list(events),
-            kind="bipartition",
-            mapped=mapped,
-            config=config,
-            seed=request.seed,
-            quality=quality_from_bipartition(report),
-            elapsed_seconds=report.elapsed_seconds,
-        )
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2))
-    else:
-        print(
-            f"{report.circuit}: {report.algorithm}, {report.runs} runs -> "
-            f"best cut {report.best_cut}, avg cut {report.avg_cut:.1f}, "
-            f"avg replicated {report.avg_replicated:.1f} "
-            f"({report.elapsed_seconds:.2f}s)"
-        )
-    return 0
-
-
-def _cmd_partition(args: argparse.Namespace) -> int:
-    ledger = _cli_ledger(args)
-    with _observability(args, capture=ledger is not None) as (trace_path, events):
-        code = _run_partition(args, ledger, events)
-    if trace_path is not None:
-        print(f"trace written to {trace_path}", file=sys.stderr)
-    return code
-
-
-def _run_partition(args: argparse.Namespace, ledger=None, events=()) -> int:
-    from repro.obs.ledger import quality_from_kway, quality_from_kway_report
-    from repro.request import RequestError, build_request
-
-    # Single parse point (see _run_bipartition).  The CLI historically
-    # floats numeric thresholds ("1" -> 1.0); keep that spelling so the
-    # committed golden ledger fingerprints never move.
-    try:
-        threshold = (
-            args.threshold if args.threshold == "inf" else float(args.threshold)
-        )
-    except ValueError as exc:
-        raise SystemExit(
-            f"threshold {args.threshold!r} is not a number or 'inf'"
-        ) from exc
-    delta_doc = None
-    if getattr(args, "delta", None):
-        try:
-            with open(args.delta, "r", encoding="utf-8") as handle:
-                delta_doc = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read delta {args.delta!r}: {exc}") from exc
-    try:
-        request = build_request(
-            "partition",
-            args.circuit,
-            scale=args.scale,
-            seed=args.seed,
-            threshold=threshold,
-            n_solutions=args.solutions,
-            multilevel=args.multilevel,
-            jobs=args.jobs,
-            delta=delta_doc,
-            warm_start=getattr(args, "warm_start", None),
-        )
-    except RequestError as exc:
-        raise SystemExit(str(exc)) from exc
-    if (
-        delta_doc is not None
-        or request.warm_start is not None
-        or getattr(args, "cache", "off") != "off"
-    ):
-        # ECO / cached runs route through the one canonical execution
-        # path (api.run_request): delta application, warm-start repair
-        # and verify-before-trust cache hits all live there, and the
-        # result document is bit-identical to a service or batch run of
-        # the same request.
-        return _run_partition_request(args, request)
-    netlist = _resolve_circuit(request.circuit, request.scale, request.seed)
-    mapped = technology_map(netlist)
-    threshold = request.threshold
-    config = {
-        "verb": "partition",
-        "threshold": threshold,
-        "solutions": request.n_solutions,
-        "scale": request.scale,
-    }
-    if request.resolve_multilevel(mapped.n_cells):
-        # Fingerprint marker, present only when multilevel carving is active.
-        config["multilevel"] = True
-    runner = _resilient_runner(args)
-    if runner is not None:
-        result = runner.kway(
-            mapped,
-            threshold=threshold,
-            seed=request.seed,
-            jobs=request.jobs,
-            multilevel=request.multilevel.tri,
-        )
-        solution = result.solution
-        if ledger is not None:
-            _ledger_log(
-                ledger,
-                list(events),
-                kind="partition",
-                mapped=mapped,
-                config=config,
-                seed=request.seed,
-                quality=quality_from_kway(solution),
-                elapsed_seconds=result.elapsed,
-                runner_summary=result.log.as_record(),
-            )
-        payload = solution.summary()
-        payload["engine"] = result.engine
-        payload["run_log_summary"] = result.log.summary()
-        if args.json:
-            payload["run_log"] = result.log.as_dicts()
-            print(json.dumps(payload, indent=2, default=str))
-        else:
-            for key, value in payload.items():
-                print(f"{key:>16}: {value}")
-        return 0
-    if args.verify:
-        from repro.core.flow import kway_solution
-        from repro.partition.verify import verify_solution
-
-        solution = kway_solution(
-            mapped,
-            threshold=threshold,
-            n_solutions=request.n_solutions,
-            seed=request.seed,
-            jobs=request.jobs,
-            multilevel=request.multilevel.tri,
-        )
-        problems = verify_solution(mapped, solution)
-        if ledger is not None:
-            _ledger_log(
-                ledger,
-                list(events),
-                kind="partition",
-                mapped=mapped,
-                config=config,
-                seed=request.seed,
-                quality=quality_from_kway(solution),
-            )
-        payload = solution.summary()
-        payload["violations"] = problems
-        if args.json:
-            print(json.dumps(payload, indent=2, default=str))
-        else:
-            for key, value in payload.items():
-                print(f"{key:>14}: {value}")
-        return 0 if not problems else 1
-    report = kway_experiment(
-        mapped,
-        threshold=threshold,
-        n_solutions=request.n_solutions,
-        seed=request.seed,
-        jobs=request.jobs,
-        multilevel=request.multilevel.tri,
-    )
-    if ledger is not None:
-        _ledger_log(
-            ledger,
-            list(events),
-            kind="partition",
-            mapped=mapped,
-            config=config,
-            seed=request.seed,
-            quality=quality_from_kway_report(report),
-            elapsed_seconds=report.elapsed_seconds,
-        )
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2))
-    else:
-        print(
-            f"{report.circuit}: k={report.k} cost={report.total_cost:.0f} "
-            f"devices={report.device_counts} "
-            f"CLB util {100 * report.avg_clb_utilization:.1f}% "
-            f"IOB util {100 * report.avg_iob_utilization:.1f}% "
-            f"replicated {100 * report.replicated_fraction:.1f}% "
-            f"feasible={report.feasible} ({report.elapsed_seconds:.1f}s)"
-        )
-    return 0
-
-
-def _run_partition_request(args: argparse.Namespace, request) -> int:
-    """Execute a partition request through :func:`repro.api.run_request`.
-
-    Used whenever the invocation carries ECO state (``--delta`` /
-    ``--warm-start``) or a cache policy: those paths need the canonical
-    execution flow, not the CLI's direct solver calls.
-    """
-    from repro import api
-    from repro.robust.errors import ReproError
-
-    cache = getattr(args, "cache", "off") or "off"
-
-    def _go() -> Any:
-        return api.run_request(request, cache=cache)
-
-    try:
-        if getattr(args, "cache_dir", None):
-            from repro.cache.store import SolutionCache, use_cache
-
-            with use_cache(SolutionCache(args.cache_dir)):
-                result = _go()
-        else:
-            result = _go()
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True, default=str))
-        return 0 if result.ok else 1
-    solution = result.solution
-    cache_info = result.cache_info or {}
-    warm = cache_info.get("warm") or {}
-    line = (
-        f"{request.circuit}: k={len(solution.blocks)} "
-        f"cost={solution.cost.total_cost:.0f} feasible={solution.feasible} "
-        f"({result.elapsed_seconds:.2f}s)"
-    )
-    if cache_info:
-        line += f" cache={cache_info.get('status')}"
-    if warm.get("mode") == "warm":
-        line += (
-            f" warm-start: {warm.get('dirty_cells')} dirty cells, "
-            f"{warm.get('speedup', 0.0):.1f}x vs ancestor"
-        )
-    elif warm:
-        line += f" warm-start declined: {warm.get('reason')}"
-    print(line)
-    return 0 if result.ok else 1
-
-
 def _cmd_delta(args: argparse.Namespace) -> int:
     from repro.obs.ledger import netlist_fingerprint
     from repro.robust.errors import DeltaError
-    from repro.techmap.delta import NetlistDelta, diff_mapped, seeded_delta
+    from repro.techmap.delta import diff_mapped, seeded_delta
 
     if args.delta_cmd == "diff":
         old = technology_map(_resolve_circuit(args.old, args.scale, args.seed))
@@ -933,7 +696,7 @@ def _cmd_batch_run(args: argparse.Namespace) -> int:
                 f"(cache {cache_status}, {wall:.2f}s)"
             )
 
-    with _observability(args) as (trace_path, _events):
+    with _observability(args) as trace_path:
         report = run_batch(
             manifest,
             jobs=args.jobs,
@@ -1192,7 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(p_bi)
     _add_resilience_args(p_bi)
     _add_obs_args(p_bi)
-    p_bi.set_defaults(func=_cmd_bipartition)
+    p_bi.set_defaults(func=_cmd_solve)
 
     p_kw = sub.add_parser("partition", help="heterogeneous k-way partitioning")
     _add_circuit_args(p_kw)
@@ -1241,7 +1004,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(p_kw)
     _add_resilience_args(p_kw)
     _add_obs_args(p_kw)
-    p_kw.set_defaults(func=_cmd_partition)
+    p_kw.set_defaults(func=_cmd_solve)
 
     p_delta = sub.add_parser(
         "delta",

@@ -119,9 +119,9 @@ def bipartition_experiment(
         )
         seeds = [seed * 7919 + run for run in range(runs)]
         if jobs > 1:
-            from repro.perf.parallel import parallel_multilevel_results
+            from repro.perf.parallel import parallel_runs
 
-            results = parallel_multilevel_results(hg, base_ml, seeds, jobs)
+            results = parallel_runs(hg, base_ml, seeds, jobs)
         else:
             from dataclasses import replace as _replace
 
@@ -153,34 +153,28 @@ def bipartition_experiment(
             n_cells=hg.n_cells,
         )
     if jobs > 1:
-        from repro.perf.parallel import (
-            parallel_fm_results,
-            parallel_replication_results,
-        )
+        from repro.perf.parallel import parallel_runs
 
         seeds = [seed * 7919 + run for run in range(runs)]
+        base: Union[FMConfig, ReplicationConfig]
         if algorithm == "fm":
             base = FMConfig(
                 balance_tolerance=balance_tolerance,
                 max_passes=max_passes,
                 budget=budget,
             )
-            results = parallel_fm_results(hg, base, seeds, jobs)
-            cuts = [r.cut_size for r in results]
-            replicated = [0] * len(results)
         else:
-            style = FUNCTIONAL if algorithm == "fm+functional" else TRADITIONAL
             base = ReplicationConfig(
                 threshold=threshold,
-                style=style,
+                style=_ALGORITHM_STYLE[algorithm],
                 balance_tolerance=balance_tolerance,
                 max_passes=max_passes,
                 max_growth=max_growth,
                 budget=budget,
             )
-            results = parallel_replication_results(hg, base, seeds, jobs)
-            cuts = [r.cut_size for r in results]
-            replicated = [r.n_replicated for r in results]
+        results = parallel_runs(hg, base, seeds, jobs)
+        cuts = [r.cut_size for r in results]
+        replicated = [getattr(r, "n_replicated", 0) for r in results]
         elapsed = time.perf_counter() - start
         return BipartitionReport(
             circuit=mapped.name,

@@ -48,7 +48,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
-from repro.obs.events import ListEmitter, read_jsonl
+from repro.obs.events import ListEmitter, TeeEmitter, read_jsonl
 from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
 
 #: Version stamped into every ledger record as ``v``.
@@ -182,35 +182,6 @@ def git_revision(cwd: Optional[str] = None) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # Quality vectors
 # ---------------------------------------------------------------------------
-
-
-def quality_from_kway(solution: Any) -> Dict[str, Any]:
-    """Quality vector of a :class:`~repro.partition.kway.KWaySolution`."""
-    cost = solution.cost
-    return {
-        "k": solution.k,
-        "total_cost": cost.total_cost,
-        "device_counts": dict(sorted(cost.device_counts.items())),
-        "avg_clb_utilization": cost.avg_clb_utilization,
-        "avg_iob_utilization": cost.avg_iob_utilization,
-        "replicated_fraction": solution.replicated_fraction,
-        "feasible": solution.feasible,
-        "truncated": solution.truncated,
-        "n_instances": solution.n_instances,
-        "n_cells": solution.n_original_cells,
-        "blocks": [
-            {
-                "device": b.device.name,
-                "clbs": b.n_clbs,
-                "terminals": b.terminals,
-                "clb_utilization": b.n_clbs / b.device.clbs if b.device.clbs else 0.0,
-                "iob_utilization": (
-                    b.terminals / b.device.terminals if b.device.terminals else 0.0
-                ),
-            }
-            for b in solution.blocks
-        ],
-    }
 
 
 def quality_from_kway_report(report: Any) -> Dict[str, Any]:
@@ -605,22 +576,27 @@ def capture_events(enabled: bool = True) -> Iterator[List[Dict[str, Any]]]:
     Yields the live list the events accumulate into.  When the active
     registry is disabled, a fresh enabled registry with a
     :class:`~repro.obs.events.ListEmitter` is installed for the scope
-    (tracing is guaranteed result-neutral, see ``tests/test_obs.py``);
-    when an enabled registry with a ``ListEmitter`` is already active,
-    its list is reused; any other emitter yields an empty capture
-    rather than disturb the caller's trace.
+    (tracing is guaranteed result-neutral, see ``tests/test_obs.py``).
+    An enabled registry keeps its emitter: for the scope, events go to
+    it and to the capture list alike, so a traced run logs the same
+    convergence as an untraced one and its trace misses nothing.
     """
     if not enabled:
         yield []
         return
     active = get_registry()
-    if active.enabled:
-        emitter = active.emitter
-        yield emitter.events if isinstance(emitter, ListEmitter) else []
+    if not active.enabled:
+        registry = MetricsRegistry(enabled=True, emitter=ListEmitter())
+        with use_registry(registry):
+            yield registry.emitter.events
         return
-    registry = MetricsRegistry(enabled=True, emitter=ListEmitter())
-    with use_registry(registry):
-        yield registry.emitter.events
+    collector = ListEmitter()
+    previous = active.emitter
+    active.emitter = collector if previous is None else TeeEmitter(previous, collector)
+    try:
+        yield collector.events
+    finally:
+        active.emitter = previous
 
 
 __all__ = [
@@ -641,7 +617,6 @@ __all__ = [
     "git_revision",
     "netlist_fingerprint",
     "quality_from_bipartition",
-    "quality_from_kway",
     "quality_from_kway_report",
     "resolve_ledger",
     "run_key",

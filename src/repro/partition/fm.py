@@ -38,7 +38,7 @@ import heapq
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.hypergraph.compact import CompactHypergraph
 from repro.hypergraph.hypergraph import Hypergraph
@@ -668,28 +668,36 @@ def best_of_runs(
 
     Derived configs share the base config's ``fixed`` mapping and
     ``budget`` object (both are read-only to the runs); only the seed
-    differs.  ``jobs > 1`` fans the runs out over a process pool with a
-    deterministic ordered reduction, so the winner matches ``jobs=1``.
+    differs.  ``jobs > 1`` runs them over a process pool
+    (:func:`repro.perf.parallel.parallel_runs`); the reduction below is
+    the same either way, so the winner matches ``jobs=1``.
     """
     base_config = base_config or FMConfig()
+    seeds = [base_config.seed * 7919 + run for run in range(runs)]
+    results: Iterable[FMResult]
     if jobs > 1:
-        from repro.perf.parallel import parallel_best_of_runs_fm
+        from repro.perf.parallel import parallel_runs
 
-        return parallel_best_of_runs_fm(hg, runs, base_config, jobs)
+        results = parallel_runs(hg, base_config, seeds, jobs)
+    else:
+        results = _seeded_runs(hg, base_config, seeds)
     best: Optional[FMResult] = None
     cuts: List[int] = []
-    compact = CompactHypergraph.from_hypergraph(hg)
-    for run in range(runs):
-        if (
-            best is not None
-            and base_config.budget is not None
-            and base_config.budget.expired
-        ):
-            break
-        config = replace(base_config, seed=base_config.seed * 7919 + run)
-        result = fm_bipartition(hg, config, compact=compact)
+    for result in results:
         cuts.append(result.cut_size)
         if best is None or result.cut_size < best.cut_size:
             best = result
     assert best is not None
     return best, cuts
+
+
+def _seeded_runs(
+    hg: Hypergraph, base_config: FMConfig, seeds: Sequence[int]
+) -> Iterator[FMResult]:
+    """In-process runs, one per seed, until the shared budget expires
+    (the first run always completes)."""
+    compact = CompactHypergraph.from_hypergraph(hg)
+    for n, seed in enumerate(seeds):
+        if n and base_config.budget is not None and base_config.budget.expired:
+            return
+        yield fm_bipartition(hg, replace(base_config, seed=seed), compact=compact)

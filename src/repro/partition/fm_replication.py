@@ -30,7 +30,7 @@ import heapq
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs.metrics import get_registry
@@ -1312,24 +1312,36 @@ def best_of_runs(
 
     Derived configs are :func:`dataclasses.replace` copies sharing the
     base config's ``fixed`` mapping and ``budget`` object (read-only to
-    the runs); only the seed differs.  ``jobs > 1`` fans the runs out
-    over a process pool with a deterministic ordered reduction.
+    the runs); only the seed differs.  ``jobs > 1`` runs them over a
+    process pool (:func:`repro.perf.parallel.parallel_runs`) and the
+    reduction below is the same either way.
     """
     base = base_config or ReplicationConfig()
+    seeds = [base.seed * 7919 + run for run in range(runs)]
+    results: Iterable[ReplicationResult]
     if jobs > 1:
-        from repro.perf.parallel import parallel_best_of_runs_replication
+        from repro.perf.parallel import parallel_runs
 
-        return parallel_best_of_runs_replication(hg, runs, base, jobs)
+        results = parallel_runs(hg, base, seeds, jobs)
+    else:
+        results = _seeded_runs(hg, base, seeds)
     best: Optional[ReplicationResult] = None
     cuts: List[int] = []
-    tables = ReplicationTables(hg)
-    for run in range(runs):
-        if best is not None and base.budget is not None and base.budget.expired:
-            break
-        config = replace(base, seed=base.seed * 7919 + run)
-        result = replication_bipartition(hg, config, tables=tables)
+    for result in results:
         cuts.append(result.cut_size)
         if best is None or result.cut_size < best.cut_size:
             best = result
     assert best is not None
     return best, cuts
+
+
+def _seeded_runs(
+    hg: Hypergraph, base: ReplicationConfig, seeds: Sequence[int]
+) -> Iterator[ReplicationResult]:
+    """In-process runs, one per seed, until the shared budget expires
+    (the first run always completes)."""
+    tables = ReplicationTables(hg)
+    for n, seed in enumerate(seeds):
+        if n and base.budget is not None and base.budget.expired:
+            return
+        yield replication_bipartition(hg, replace(base, seed=seed), tables=tables)

@@ -392,6 +392,50 @@ def _engine_outcome(
     )
 
 
+def _carve_pool_state(shared: Tuple) -> Tuple:
+    """Pool-worker state of a parallel carve scan: the level's
+    hypergraph, its replication tables and -- for multilevel scans --
+    the coarsening stack, built exactly like the sequential scan builds
+    it (seeded from the k-way seed with the scan's fixed set), so
+    ``jobs=N`` candidates match ``jobs=1`` bit for bit."""
+    from repro.perf.parallel import worker_budget
+
+    hg, pseudo, proto, ml_seed = shared
+    tables = ReplicationTables(hg)
+    hierarchy: Optional[MultilevelHierarchy] = None
+    if ml_seed is not None:
+        hierarchy = MultilevelHierarchy(
+            CompactHypergraph.from_hypergraph(hg),
+            MultilevelConfig(
+                seed=ml_seed,
+                max_passes=proto["max_passes"],
+                fixed=dict(proto["fixed"]),
+                budget=worker_budget(),
+            ),
+        )
+    return hg, tables, frozenset(pseudo), proto, hierarchy
+
+
+def _carve_pool_task(
+    state: Tuple, task: Tuple[int, int, int, int]
+) -> Optional[_CarveOutcome]:
+    """One candidate of a parallel carve scan: ``(device index, seed,
+    lo0, hi0)`` -> its outcome (``None`` for no progress)."""
+    from repro.perf.parallel import worker_budget
+
+    hg, tables, pseudo, proto, hierarchy = state
+    device_index, seed, lo0, hi0 = task
+    config = ReplicationConfig(
+        seed=seed, side0_bounds=(lo0, hi0), budget=worker_budget(), **proto
+    )
+    initial: Optional[List[int]] = None
+    if hierarchy is not None:
+        initial, _, _ = hierarchy.solve(seed, side0_bounds=(lo0, hi0))
+    engine = ReplicationEngine(hg, config, initial=initial, tables=tables)
+    engine.run()
+    return _engine_outcome(engine, pseudo, device_index)
+
+
 def _instance_vcell(vc: _VCell, kind: str, o: int, counter: int) -> _VCell:
     """Materialize one instance of ``vc`` per the side-instance tag."""
     if kind == _WHOLE:
@@ -448,7 +492,7 @@ def _scan_carve_candidates(
 
     Runs ``devices_per_carve x seeds_per_carve`` candidate bipartitions
     per fill band -- in-process for ``jobs=1``, over a
-    :class:`~repro.perf.parallel.CarveBandPool` otherwise -- and reduces
+    :class:`~repro.perf.parallel.WorkerPool` otherwise -- and reduces
     them in sequential scan order, so the chosen carve is identical for
     any job count given the same seed.  Returns ``((device, outcome) or
     None, out_of_time)``; the first band producing a feasible candidate
@@ -492,7 +536,7 @@ def _scan_carve_candidates(
     if use_ml and reg.enabled:
         reg.counter("kway.multilevel_scans").inc()
     if config.jobs != 1 and not use_reference:
-        from repro.perf.parallel import CarveBandPool
+        from repro.perf.parallel import WorkerPool
 
         proto = dict(
             threshold=config.threshold,
@@ -500,13 +544,9 @@ def _scan_carve_candidates(
             max_passes=config.max_passes,
             fixed=dict(fixed),
         )
-        ml_spec = (
-            dict(seed=config.seed, max_passes=config.max_passes)
-            if use_ml
-            else None
-        )
-        with CarveBandPool(
-            hg, pseudo, proto, budget, config.jobs, ml_spec=ml_spec
+        shared = (hg, tuple(pseudo), proto, config.seed if use_ml else None)
+        with WorkerPool(
+            _carve_pool_state, shared, _carve_pool_task, config.jobs, budget
         ) as pool:
             for fill in config.carve_fill_levels:
                 if budget is not None and budget.expired:
@@ -522,7 +562,7 @@ def _scan_carve_candidates(
                         plan.append((di, rng.randrange(1 << 30), lo0, hi0))
                 n_bands += 1
                 n_cand += len(plan)
-                for outcome in pool.evaluate(plan):
+                for outcome in pool.map(plan):
                     consider(outcome)
                 if best is not None:
                     break  # highest workable fill band wins

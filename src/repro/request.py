@@ -218,8 +218,8 @@ class PartitionRequest:
     """One solver invocation as a frozen, serializable artifact.
 
     Construct directly, from keyword arguments (:func:`build_request`),
-    from a JSON document (:meth:`from_json`) or from a batch-manifest job
-    (:meth:`repro.batch.manifest.BatchJob.to_request`); every path yields
+    from a JSON document (:meth:`from_json`) or from a batch manifest
+    (:func:`repro.batch.manifest.expand_manifest`); every path yields
     the same normalized object, and equal requests are ``==`` and hash
     alike (usable as memo keys).  Omitted fields take their defaults
     from the per-verb tables above; an omitted ``threshold`` is 1 for
@@ -500,40 +500,6 @@ class PartitionRequest:
         return cls.from_dict(doc)
 
     # -- derived views --------------------------------------------------
-    def params(self) -> Dict[str, Any]:
-        """The batch-manifest ``params`` dict of this request (verb
-        tunables + common fields, threshold in its numeric form)."""
-        out = {
-            "scale": self.scale,
-            "algorithm": self.algorithm.value,
-            "deadline": self.deadline,
-            "max_retries": self.max_retries,
-            "fallback": self.fallback,
-            "multilevel": self.multilevel.tri,
-        }
-        if self.verb == "partition":
-            out.update(
-                threshold=self.threshold,
-                library=self.library,
-                n_solutions=self.n_solutions,
-                seeds_per_carve=self.seeds_per_carve,
-                devices_per_carve=self.devices_per_carve,
-            )
-        else:
-            out.update(
-                runs=self.runs,
-                threshold=self.threshold,
-                balance_tolerance=self.balance_tolerance,
-                max_passes=self.max_passes,
-                max_growth=self.max_growth,
-            )
-        # Only when set, so pre-incremental manifests stay byte-identical.
-        if self.delta is not None:
-            out["delta"] = self.delta.to_dict()
-        if self.warm_start is not None:
-            out["warm_start"] = self.warm_start
-        return out
-
     def with_trace(self, trace_id: Optional[str]) -> "PartitionRequest":
         """This request carrying ``trace_id`` (self when already equal)."""
         if trace_id == self.trace_id:

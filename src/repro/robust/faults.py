@@ -22,8 +22,8 @@ in production (an empty-list check) but consult the active
     injected error simulates a torn write (the stray ``.tmp`` file is
     left behind, the entry never lands) (context: ``key``);
 ``batch.job``
-    start of every job a :class:`repro.perf.parallel.BatchJobPool`
-    worker runs, before any solve work -- the worker-death drill site;
+    start of every job a :func:`repro.batch.worker.job_pool` worker
+    runs, before any solve work -- the worker-death drill site;
     fires in pool workers only (context: ``job``, the job id).
 
 A :class:`Fault` matches a site (plus optional context filters), skips
@@ -33,8 +33,8 @@ a stuck pass, and/or (``exit_code``) terminating the whole process with
 ``os._exit`` to simulate a hard worker death.  Everything is
 counter-based, so a given plan replays identically on every run.
 
-Process-pool workers inherit the active plans: every pool in
-:mod:`repro.perf.parallel` captures :func:`export_spec` at dispatch and
+Process-pool workers inherit the active plans: every
+:class:`repro.perf.parallel.WorkerPool` captures :func:`export_spec` and
 replays it through :func:`install_spec` in the worker initializer, so an
 injected fault fires in children too.  Each worker rebuilds a *fresh*
 plan -- hit/fire counters are per-process, which is what keeps replays

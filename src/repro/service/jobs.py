@@ -78,23 +78,13 @@ class Job:
         return self.state in TERMINAL_STATES
 
     def to_batch_job(self) -> BatchJob:
-        """The pool-executable form of this job.
-
-        Built from the request's canonical params, so the worker's
-        ``job.to_request()`` round-trips to an equal request and the
-        solve is bit-identical to a direct ``repro.api`` call.  The
-        request's trace id rides along outside the params (it is never
-        part of the solve identity), so worker-side spans and the ledger
-        record carry the id the service minted at submit.
-        """
+        """The pool-executable form of this job: its request, trace id
+        included, so worker-side spans and the ledger record carry the
+        id the service minted at submit."""
         return BatchJob(
             job_id=self.job_id,
-            verb=self.request.verb,
-            circuit=self.request.circuit,
-            seed=self.request.seed,
-            params=self.request.params(),
+            request=self.request,
             priority=self.priority,
-            trace_id=self.request.trace_id,
             cancel_path=self.cancel_path,
         )
 

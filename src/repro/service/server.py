@@ -5,7 +5,7 @@ A long-running, stdlib-only front door over the request API
 :class:`~repro.request.PartitionRequest` documents over HTTP, the server
 serves cache hits instantly from :mod:`repro.cache`, queues misses by
 priority, fans them out on the batch process pool
-(:class:`~repro.perf.parallel.BatchJobPool`) and streams per-job
+(:func:`~repro.batch.worker.job_pool`) and streams per-job
 lifecycle events as chunked JSONL or SSE.  When a pool worker dies,
 the jobs running on that pool fail ("worker died"), the broken pool is
 replaced, and the next job solves on fresh workers.
@@ -50,14 +50,15 @@ import asyncio
 import json
 import os
 import shutil
+import signal
 import tempfile
-import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro import api
+from repro.batch.worker import job_pool, mapped_netlist
 from repro.obs.metrics import get_registry
 from repro.obs.telemetry import (
     PROMETHEUS_CONTENT_TYPE,
@@ -73,9 +74,6 @@ from repro.service.quota import ClientQuota
 
 #: Largest request body the server will read, in bytes.
 MAX_BODY_BYTES = 1 << 20
-
-#: Mapped netlists memoized by the parent for key computation/hot hits.
-_MAPPED_MEMO_CAP = 8
 
 #: Hot result documents memoized per cache key (O(1) repeat hits).
 _RESULT_MEMO_CAP = 1024
@@ -149,17 +147,13 @@ class PartitionService:
         self._wake: Any = None
         self._cond: Any = None
         self._dispatcher: Any = None
-        self._mapped_memo: Dict[tuple, Any] = {}
-        self._mapped_lock = threading.Lock()
         self._result_memo: Dict[str, Dict[str, Any]] = {}
 
     # -- lifecycle ------------------------------------------------------
 
     def _new_pool(self) -> Any:
-        from repro.perf.parallel import BatchJobPool
-
         pool_dir = self.store.root if self.store is not None else None
-        return BatchJobPool(pool_dir, self.policy, self.workers)
+        return job_pool(pool_dir, self.policy, self.workers)
 
     async def start(self) -> None:
         """Bind the listener, build the pool, start the dispatcher."""
@@ -178,7 +172,8 @@ class PartitionService:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Stop accepting, cancel the dispatcher, shut the pool down."""
+        """Stop accepting, cancel the dispatcher, wind the running jobs
+        down and shut the pool down -- no worker outlives the service."""
         self._running = False
         if self._server is not None:
             self._server.close()
@@ -191,7 +186,15 @@ class PartitionService:
             except asyncio.CancelledError:
                 pass
         if self._pool is not None:
-            self._pool.close()
+            for job in self.table.jobs():
+                if job.state == "running":
+                    self._raise_cancel_flag(job)
+                    self._finish(job, "cancelled", reason="service stopping")
+            # Waiting for the workers keeps the cancel flags in place
+            # until the solves they stop have read them.
+            await asyncio.get_running_loop().run_in_executor(
+                None, self._pool.close, True
+            )
         if self._cancel_dir is not None:
             shutil.rmtree(self._cancel_dir, ignore_errors=True)
             self._cancel_dir = None
@@ -208,31 +211,17 @@ class PartitionService:
 
     # -- blocking helpers (executor threads only) -----------------------
 
-    def _mapped_for(self, request: PartitionRequest) -> Any:
-        """The request's mapped netlist via a bounded parent-side memo --
-        the expensive prefix of key computation, built once per
-        (circuit, scale, mapping-seed) triple."""
-        nid = request.netlist_id
-        with self._mapped_lock:
-            if nid in self._mapped_memo:
-                return self._mapped_memo[nid]
-        mapped = api.map(request.circuit, scale=request.scale, seed=nid[2]).solution
-        with self._mapped_lock:
-            if len(self._mapped_memo) >= _MAPPED_MEMO_CAP:
-                self._mapped_memo.pop(next(iter(self._mapped_memo)))
-            self._mapped_memo[nid] = mapped
-        return mapped
-
     def _hot_result(self, request: PartitionRequest) -> Optional[Dict[str, Any]]:
         """The serialized result of a trustworthy cache hit, else ``None``.
 
         Repeat hits on the same key are O(1): the verified result
         document is memoized, so the hot path costs one dict lookup
-        after the first request (plus the one-time mapping build).
+        after the first request (plus the mapping build, memoized per
+        process by :func:`~repro.batch.worker.mapped_netlist`).
         """
         if self.store is None or self.policy != "use":
             return None
-        mapped = self._mapped_for(request)
+        mapped = mapped_netlist(request)
         key = request.cache_key(mapped)
         memo = self._result_memo.get(key)
         if memo is not None:
@@ -247,9 +236,7 @@ class PartitionService:
         return doc
 
     def _collect(self, future: Any) -> Any:
-        from repro.perf.parallel import BatchJobPool
-
-        return BatchJobPool.collect(future)
+        return self._pool.collect(future)
 
     # -- job lifecycle (event loop thread only) -------------------------
 
@@ -292,6 +279,15 @@ class PartitionService:
         self.table.finish(job)
         self._post(job, f"job.{state}", latency_seconds=latency, **fields)
 
+    @staticmethod
+    def _raise_cancel_flag(job: Job) -> None:
+        """Touch a running job's cancel sentinel: every Budget checkpoint
+        of its solve then reports expired and the worker slot frees
+        promptly instead of running to the job's deadline."""
+        if job.cancel_path is not None:
+            with open(job.cancel_path, "a", encoding="utf-8"):
+                pass
+
     async def _dispatch_loop(self) -> None:
         while self._running:
             await self._wake.wait()
@@ -333,10 +329,16 @@ class PartitionService:
             except asyncio.CancelledError:
                 raise
             except Exception as exc:  # noqa: BLE001 - worker-death boundary
-                if isinstance(exc, BrokenProcessPool) and self._pool is pool:
+                if (
+                    isinstance(exc, BrokenProcessPool)
+                    and self._pool is pool
+                    and self._running
+                ):
                     # A worker died and took the executor with it; every
                     # later submit would raise too.  Jobs that shared the
-                    # dead pool fail here, the next one gets fresh workers.
+                    # dead pool fail here, the next one gets fresh workers
+                    # (unless the service is stopping: a pool built now
+                    # would outlive it).
                     pool.close()
                     self._pool = self._new_pool()
                 if job.state == "cancelled":
@@ -634,16 +636,7 @@ class PartitionService:
                 # Only succeeds while the pool has not started executing;
                 # a solving worker process is never killed.
                 job.future.cancel()
-            if job.cancel_path is not None:
-                # The worker may already be mid-solve: raise its cancel
-                # flag so every Budget checkpoint in the solve reports
-                # expired and the worker slot frees promptly instead of
-                # running to the job's deadline.
-                def _touch(path: str = job.cancel_path) -> None:
-                    with open(path, "a", encoding="utf-8"):
-                        pass
-
-                await asyncio.get_running_loop().run_in_executor(None, _touch)
+            self._raise_cancel_flag(job)
         self._finish(job, "cancelled", was_queued=was_queued)
         await _respond(
             writer,
@@ -748,11 +741,18 @@ class _suppress_io:
 
 def run_service(**kwargs: Any) -> None:
     """Blocking entry point: build a :class:`PartitionService` and serve
-    until interrupted (the CLI's ``repro serve`` calls this)."""
+    until interrupted (the CLI's ``repro serve`` calls this).  SIGTERM
+    stops the service the way Ctrl-C does, through
+    :meth:`PartitionService.stop`."""
     service = PartitionService(**kwargs)
 
     async def main() -> None:
         await service.start()
+        serving = asyncio.current_task()
+        assert serving is not None
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, serving.cancel
+        )
         print(
             f"repro-service listening on http://{service.host}:{service.port} "
             f"({service.workers} workers, cache={service.policy})",

@@ -22,7 +22,9 @@ actual sockets:
    far sooner than the job's deadline (the pre-fix behaviour was a
    busy worker until the deadline expired);
 6. **event stream** -- the done job's JSONL stream replays
-   ``job.queued -> job.start -> job.done`` and terminates.
+   ``job.queued -> job.start -> job.done`` and terminates;
+7. **clean shutdown** -- SIGTERM stops the server like Ctrl-C: it
+   exits and none of its pool workers is still running 10 s later.
 
 Exit code 0 on success; any assertion failure prints the reason and
 exits 1.  Everything runs against a throwaway cache directory.
@@ -31,10 +33,12 @@ exits 1.  Everything runs against a throwaway cache directory.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
 import time
+from typing import List
 
 from repro import api
 from repro.cache.store import SolutionCache, use_cache
@@ -63,6 +67,38 @@ CANCEL_RELEASE_SECONDS = 45.0
 def _fail(message: str) -> None:
     print(f"FAIL: {message}", file=sys.stderr)
     raise SystemExit(1)
+
+
+#: How long a pool worker may outlive a SIGTERM-ed server.
+WORKER_EXIT_SECONDS = 10.0
+
+
+def live_children(pid: int) -> List[int]:
+    """Pids of the running (non-zombie) children of ``pid``, read from
+    ``/proc`` (empty where there is none)."""
+    if not os.path.isdir("/proc"):
+        return []
+    kids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as fh:
+                state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+        except (OSError, ValueError):
+            continue
+        if int(ppid) == pid and state != "Z":
+            kids.append(int(entry))
+    return kids
+
+
+def is_running(pid: int) -> bool:
+    """Whether ``pid`` is a live, non-zombie process (``/proc``)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (OSError, IndexError):
+        return False
 
 
 def _start_server(cache_dir: str) -> subprocess.Popen:
@@ -245,6 +281,23 @@ def main() -> int:
                     _fail(f"unknown job should 404, got {exc.status}")
             else:
                 _fail("unknown job id did not 404")
+
+            # 6. SIGTERM stops the server; no pool worker outlives it.
+            workers = live_children(proc.pid)
+            proc.terminate()
+            try:
+                rc = proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                _fail("server did not exit on SIGTERM")
+            stop_ts = time.monotonic()
+            while any(is_running(pid) for pid in workers):
+                if time.monotonic() - stop_ts > WORKER_EXIT_SECONDS:
+                    _fail(f"pool worker(s) {workers} outlived the server")
+                time.sleep(0.1)
+            print(
+                f"SIGTERM: server exited (rc={rc}); "
+                f"{len(workers)} pool worker(s) gone with it"
+            )
 
             print("service smoke: OK")
             return 0

@@ -19,6 +19,7 @@ from repro.batch.scheduler import (
     run_batch,
 )
 from repro.experiments import tables4to7
+from repro.request import PARTITION_PARAMS
 from repro.robust.budget import Budget
 from repro.robust.errors import ConfigError
 
@@ -55,11 +56,12 @@ def test_expand_seeds_and_defaults():
             defaults=SMALL_DEFAULTS,
         )
     )
-    assert [j.seed for j in jobs] == [1, 2]
-    assert all(j.params["threshold"] == float("inf") for j in jobs)
-    assert all(j.params["scale"] == SCALE for j in jobs)
+    assert [j.request.seed for j in jobs] == [1, 2]
+    assert all(j.request.threshold == float("inf") for j in jobs)
+    assert all(j.request.scale == SCALE for j in jobs)
     assert jobs[0].job_id != jobs[1].job_id
-    assert jobs[0].netlist_id != jobs[1].netlist_id  # mapping seed differs
+    # mapping seed differs
+    assert jobs[0].request.netlist_id != jobs[1].request.netlist_id
 
 
 def test_expand_rejects_malformed_manifests():
@@ -91,8 +93,9 @@ def test_mixed_verb_defaults_are_filtered_per_verb():
             defaults={"n_solutions": 1, "scale": SCALE},
         )
     )
-    assert jobs[0].params["n_solutions"] == 1
-    assert "n_solutions" not in jobs[1].params
+    assert jobs[0].request.n_solutions == 1
+    # The bipartition job ignored it: its request keeps the table default.
+    assert jobs[1].request.n_solutions == PARTITION_PARAMS["n_solutions"] != 1
     with pytest.raises(ManifestError):
         expand_manifest(
             _manifest([{"circuit": CIRCUIT}], defaults={"not_a_knob": 1})
@@ -128,6 +131,15 @@ def test_load_manifest_validates_eagerly(tmp_path):
         load_manifest(str(tmp_path / "missing.json"))
 
 
+def test_load_manifest_checks_each_jobs_request(tmp_path):
+    # Requests are built while expanding, so a bad one fails the load,
+    # naming its job -- not the run, job by job.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_manifest([{"circuit": CIRCUIT, "algorithm": "sa"}])))
+    with pytest.raises(ManifestError, match=r"jobs\[0\]"):
+        load_manifest(str(path))
+
+
 # ---------------------------------------------------------------------------
 # Dedupe and dispatch ordering
 # ---------------------------------------------------------------------------
@@ -149,7 +161,7 @@ def test_order_jobs_dedupes_and_groups_by_netlist():
     assert len(primaries) == 3 and len(duplicates) == 1
     assert job_identity(duplicates[0]) == job_identity(jobs[0])
     # The priority-9 circuit leads; the two s5378 jobs stay adjacent.
-    assert [j.circuit for j in primaries] == ["c3540", CIRCUIT, CIRCUIT]
+    assert [j.request.circuit for j in primaries] == ["c3540", CIRCUIT, CIRCUIT]
 
 
 def test_job_identity_ignores_declaration_noise():

@@ -221,6 +221,30 @@ def test_api_partition_autolog_is_deterministic(tmp_path, small_mapped):
     assert len(ledger.records()) == 2
 
 
+def test_traced_run_logs_the_untraced_record(tmp_path, small_mapped):
+    # A JSONL-traced run captures convergence alongside its trace, so
+    # tracing never changes what the ledger learns about a run.
+    from repro.obs.events import JsonlEmitter, read_jsonl
+    from repro.obs.metrics import MetricsRegistry, use_registry
+
+    ledger = Ledger(str(tmp_path / "led"))
+    trace = str(tmp_path / "trace.jsonl")
+    with use_ledger(ledger):
+        untraced = _run(small_mapped, threshold=1, seed=3).run_record
+        registry = MetricsRegistry(enabled=True, emitter=JsonlEmitter(trace))
+        with use_registry(registry):
+            traced = _run(small_mapped, threshold=1, seed=3).run_record
+        registry.close()
+    assert untraced["convergence"]["carves"]
+    assert stable_view(traced) == stable_view(untraced)
+    # ... and the trace still received every captured event.
+    names = [e.get("name") for e in read_jsonl(trace) if e.get("kind") == "event"]
+    carves = traced["convergence"]["carves"]
+    assert names.count("kway.carve_committed") + names.count(
+        "kway.final_block"
+    ) == len(carves)
+
+
 def test_api_without_ledger_attaches_no_record(small_mapped, monkeypatch):
     monkeypatch.delenv(LEDGER_ENV_VAR, raising=False)
     result = _run(small_mapped, threshold=1, seed=3)

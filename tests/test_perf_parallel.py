@@ -117,8 +117,8 @@ class TestDegradation:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("jobs=1 must stay sequential")
 
-        monkeypatch.setattr(par, "parallel_best_of_runs_fm", boom)
-        monkeypatch.setattr(par, "parallel_best_of_runs_replication", boom)
+        monkeypatch.setattr(par, "parallel_runs", boom)
+        monkeypatch.setattr(par, "WorkerPool", boom)
         hg = _random_hypergraph(random.Random(19))
         best, cuts = fm_mod.best_of_runs(hg, runs=2, base_config=FMConfig(seed=1))
         assert len(cuts) == 2 and best.cut_size == min(cuts)

@@ -6,11 +6,7 @@ import warnings
 import pytest
 
 from repro import api
-from repro.batch.manifest import (
-    ManifestError,
-    expand_manifest,
-    requests_from_manifest,
-)
+from repro.batch.manifest import ManifestError, expand_manifest
 from repro.cache.store import SolutionCache, cache_key, key_for_request, use_cache
 from repro.obs.ledger import config_fingerprint, netlist_fingerprint, run_key
 from repro.partition.devices import XC3000_LIBRARY, DeviceLibrary
@@ -241,21 +237,21 @@ def _manifest():
 
 
 def test_requests_from_manifest():
-    requests = requests_from_manifest(_manifest())
+    requests = [job.request for job in expand_manifest(_manifest())]
     assert len(requests) == 3
     assert {r.verb for r in requests} == {"partition", "bipartition"}
     assert requests[0].seed == 1 and requests[1].seed == 2
-    # params() closes the loop: request -> manifest params -> request.
-    jobs = expand_manifest(_manifest())
-    again = jobs[0].to_request()
-    assert again == requests[0]
+    # A job's request is the one the same fields build anywhere else.
+    assert requests[0] == build_request(
+        "partition", CIRCUIT, scale=SCALE, threshold=1, n_solutions=1, seed=1
+    )
 
 
 def test_manifest_bad_params_surface_as_manifest_error():
     manifest = _manifest()
     manifest["jobs"][0]["threshold"] = "sideways"
     with pytest.raises(ManifestError):
-        requests_from_manifest(manifest)
+        expand_manifest(manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +269,7 @@ def test_omitted_threshold_resolves_per_verb():
         "schema": "repro-batch-manifest/1",
         "jobs": [{"verb": "bipartition", "circuit": CIRCUIT}],
     }
-    assert expand_manifest(manifest)[0].to_request() == bi
+    assert expand_manifest(manifest)[0].request == bi
     assert build_parser().parse_args(["bipartition", CIRCUIT]).threshold == 0
     # Partition defaults (and with them partition cache keys) stay put.
     part = PartitionRequest.from_dict({"verb": "partition", "circuit": CIRCUIT})

@@ -1,9 +1,16 @@
 """The partition service: queue/quota units + live HTTP server paths."""
 
 import asyncio
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
+
+import repro
 
 from repro import api
 from repro.cache.store import SolutionCache, use_cache
@@ -13,6 +20,7 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import Job, JobQueue, JobTable
 from repro.service.quota import ClientQuota, TokenBucket
 from repro.service.server import PartitionService
+from repro.service.smoke import is_running, live_children
 
 CIRCUIT = "s5378"
 SCALE = 0.08
@@ -270,3 +278,50 @@ def test_service_recovers_after_a_worker_dies(tmp_path):
         direct = api.run_request(request, cache="use")
     assert direct.cache_info.get("status") == "hit"
     assert done["result"] == direct.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# Process lifecycle of `repro serve`
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_sigterm_leaves_no_pool_worker_behind(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "1", "--cache-dir", str(tmp_path / "cache")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        start_new_session=True,
+    )
+    try:
+        line = proc.stdout.readline()
+        assert "listening on http://" in line, line
+        client = ServiceClient(
+            "127.0.0.1", int(line.rsplit(":", 1)[1].split()[0]), client_id="term"
+        )
+        # A full-scale s9234 k-way solve runs for minutes.
+        slow = client.submit(build_request("partition", "s9234", seed=3))
+        deadline = time.monotonic() + 60
+        while client.status(slow["job_id"])["state"] != "running":
+            assert time.monotonic() < deadline, "slow job never started"
+            time.sleep(0.1)
+        time.sleep(1.0)  # let the worker get into the solve proper
+        workers = live_children(proc.pid)
+        assert workers, "the running job has no pool worker"
+        proc.send_signal(signal.SIGTERM)
+        deadline = time.monotonic() + 10
+        while any(is_running(pid) for pid in workers):
+            assert time.monotonic() < deadline, "a pool worker outlived the server"
+            time.sleep(0.1)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        try:  # the server's session: an orphaned worker keeps its group
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        proc.stdout.close()
