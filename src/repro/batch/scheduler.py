@@ -15,7 +15,8 @@
    jobs kept adjacent: the mapped-netlist build is the shared prefix of
    every job on that netlist, and the mapped-netlist memo
    (:func:`repro.batch.worker.mapped_netlist`) holds only a few.
-4. **Dispatch** -- ``jobs <= 1`` executes in-process; otherwise a
+4. **Dispatch** -- with one worker (``jobs=1``, or a single primary)
+   jobs execute in-process; otherwise a
    :func:`~repro.batch.worker.job_pool` fans jobs out, each worker
    sharing the batch's on-disk solution cache.  Per-job resilience
    (deadline/max_retries/fallback from the manifest) happens *inside*
@@ -55,6 +56,7 @@ from repro.batch.worker import (
 )
 from repro.obs.ledger import canonical_json
 from repro.obs.metrics import get_registry
+from repro.perf.parallel import resolve_jobs
 from repro.robust.budget import Budget
 
 #: Event callback type: receives small progress dicts as the batch runs.
@@ -318,7 +320,8 @@ def run_batch(
 ) -> BatchReport:
     """Run every job of ``manifest``; returns the finished report.
 
-    ``jobs`` is the worker-process count (``<= 1`` runs in-process);
+    ``jobs`` is the worker-process count (``0`` = all cores), capped at
+    the number of primaries; one worker runs the jobs in-process.
     ``cache`` is the policy handed to every verb call
     (``"use"`` | ``"refresh"`` | ``"off"``); ``cache_dir`` overrides the
     resolved store location; ``deadline`` is the global wall-clock
@@ -336,7 +339,8 @@ def run_batch(
     if cache != "off":
         store = SolutionCache(cache_dir) if cache_dir else resolve_cache()
 
-    if jobs <= 1 or len(primaries) <= 1:
+    workers = max(1, min(resolve_jobs(jobs), len(primaries)))
+    if workers == 1:
         def run_wave(wave: List[BatchJob], policy: str) -> List[JobOutcome]:
             if store is None:
                 return _run_wave_sequential(wave, policy, budget, on_event)
@@ -347,11 +351,7 @@ def run_batch(
         # Duplicates re-read what the primaries stored; with the cache
         # off there is nothing to reuse, so they solve like primaries.
         outcomes += run_wave(duplicates, "use" if cache != "off" else "off")
-        workers = 1
     else:
-        from repro.perf.parallel import resolve_jobs
-
-        workers = min(resolve_jobs(jobs), len(primaries))
         pool_dir = store.root if store is not None else None
         with job_pool(pool_dir, cache, workers) as pool:
             outcomes = _run_wave_pool(primaries, pool, budget, on_event)

@@ -26,6 +26,7 @@ from repro.core.results import kway_report_from_solution
 from repro.obs import ledger as obs_ledger
 from repro.request import PartitionRequest
 from repro.robust import faults
+from repro.robust.budget import Budget, CancelFlag, cancel_scope
 
 #: Mapped netlists kept per process.  serve-mixed's pool of variant
 #: designs is sized against this bound.
@@ -205,9 +206,10 @@ def failed_outcome(
 # ---------------------------------------------------------------------------
 
 
-def _pool_state(shared: Tuple[Optional[str], str]) -> str:
+def _pool_state(shared: Tuple[Optional[str], str], budget: Optional[Budget]) -> str:
     """Pool-worker state: install the batch's solution cache; the task
-    needs only the cache policy."""
+    needs only the cache policy.  The job pool has no budget: a job's
+    deadline travels in its request."""
     cache_dir, policy = shared
     if cache_dir:
         from repro.cache.store import SolutionCache, set_cache
@@ -216,9 +218,7 @@ def _pool_state(shared: Tuple[Optional[str], str]) -> str:
     return policy
 
 
-def _pool_task(policy: str, job: BatchJob) -> JobOutcome:
-    from repro.robust.budget import CancelFlag, cancel_scope
-
+def _pool_task(policy: str, job: BatchJob, budget: Optional[Budget]) -> JobOutcome:
     # Worker-only fault site: a drill kills (exit_code=) or fails the
     # worker that picked up one particular job, before any solve work.
     faults.maybe_fire("batch.job", job=job.job_id)

@@ -81,15 +81,6 @@ def cache_key(mapped: Any, config: Dict[str, Any], seed: int) -> str:
     )
 
 
-def key_for_request(mapped: Any, request: Any) -> str:
-    """The entry key a :class:`~repro.request.PartitionRequest` resolves
-    to on ``mapped`` -- delegates to :meth:`PartitionRequest.cache_key`,
-    which builds the multilevel-resolved config and calls
-    :func:`cache_key` above.  One identity, whichever side computes it.
-    """
-    return request.cache_key(mapped)
-
-
 def build_entry(
     kind: str,
     key: str,
@@ -408,7 +399,6 @@ __all__ = [
     "build_entry",
     "cache_key",
     "get_cache",
-    "key_for_request",
     "nearest_ancestor",
     "resolve_cache",
     "set_cache",

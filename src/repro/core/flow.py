@@ -22,40 +22,27 @@ from repro.hypergraph.build import build_hypergraph
 from repro.netlist.benchmarks import benchmark_circuit
 from repro.netlist.netlist import Netlist
 from repro.partition.devices import DeviceLibrary, XC3000_LIBRARY
-from repro.partition.fm import FMConfig, fm_bipartition
+from repro.partition.fm import FMConfig
 from repro.partition.fm_replication import (
     FUNCTIONAL,
     NONE,
     TRADITIONAL,
     ReplicationConfig,
-    replication_bipartition,
 )
 from repro.partition.kway import KWayConfig, KWaySolution, best_heterogeneous_partition
-from repro.partition.multilevel import (
-    MultilevelConfig,
-    resolve_multilevel,
-    vcycle_bipartition,
-)
+from repro.partition.multilevel import MultilevelConfig, resolve_multilevel
+from repro.perf.parallel import seeded_runs
 from repro.robust.budget import Budget
 from repro.robust.errors import ConfigError
 from repro.techmap.mapped import MappedNetlist, technology_map
 
-#: Engines accepted by :func:`bipartition_experiment`, strongest first.
-BIPARTITION_ALGORITHMS = ("fm+functional", "fm+traditional", "fm")
-
-#: Canonical algorithm name -> replication style of the inner engine.
-_ALGORITHM_STYLE = {
+#: Algorithm name -> replication style of the inner engine, strongest
+#: first (the resilient runner's degradation cascade walks this order).
+ALGORITHM_STYLE = {
     "fm+functional": FUNCTIONAL,
     "fm+traditional": TRADITIONAL,
     "fm": NONE,
 }
-
-
-def _resolve_style(algorithm: str) -> str:
-    """Map the canonical ``algorithm`` name to an engine style."""
-    if algorithm not in _ALGORITHM_STYLE:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
-    return _ALGORITHM_STYLE[algorithm]
 
 
 def map_circuit(circuit: Union[str, Netlist], scale: float = 1.0, seed: int = 1994) -> MappedNetlist:
@@ -85,13 +72,13 @@ def bipartition_experiment(
     Terminal constraints are relaxed by building the hypergraph without
     terminal nodes, exactly as the paper's first experiment does.
 
-    A ``budget`` is threaded into every inner run (which then winds down
-    cooperatively) and checked between runs: when it expires, the report
-    covers the runs completed so far (always at least one).
-
-    ``jobs > 1`` fans the runs out over a process pool; run seeds and the
-    result order are identical to the sequential loop, so the report is
-    deterministic per seed (as long as no budget expires mid-sweep).
+    The runs are one :func:`~repro.perf.parallel.seeded_runs` scan over
+    the seeds ``seed * 7919 + run``: ``jobs`` is its worker count
+    (``0`` = all cores), and every count gives the same report for a
+    given seed as long as no budget expires mid-sweep.  A ``budget`` is
+    threaded into every run (which then winds down cooperatively); at one
+    worker it is also checked between runs, and when it expires the
+    report covers the runs completed so far (always at least one).
 
     ``multilevel`` is tri-state: ``True`` runs every inner solve as a
     coarsen-solve-uncoarsen V-cycle (replication algorithms finish with a
@@ -99,16 +86,14 @@ def bipartition_experiment(
     engines, ``None`` (default) auto-enables the V-cycle on large
     netlists (:data:`repro.partition.multilevel.MULTILEVEL_AUTO_MIN_CELLS`).
     """
-    if algorithm not in BIPARTITION_ALGORITHMS:
+    if algorithm not in ALGORITHM_STYLE:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
+    style = ALGORITHM_STYLE[algorithm]
     hg = build_hypergraph(mapped, include_terminals=False)
     use_ml = resolve_multilevel(multilevel, hg.n_cells)
-    cuts = []
-    replicated = []
-    start = time.perf_counter()
+    base: Union[MultilevelConfig, FMConfig, ReplicationConfig]
     if use_ml:
-        style = _ALGORITHM_STYLE[algorithm]
-        base_ml = MultilevelConfig(
+        base = MultilevelConfig(
             balance_tolerance=balance_tolerance,
             max_passes=max_passes,
             threshold=threshold,
@@ -117,114 +102,39 @@ def bipartition_experiment(
             max_growth=max_growth,
             budget=budget,
         )
-        seeds = [seed * 7919 + run for run in range(runs)]
-        if jobs > 1:
-            from repro.perf.parallel import parallel_runs
-
-            results = parallel_runs(hg, base_ml, seeds, jobs)
-        else:
-            from dataclasses import replace as _replace
-
-            from repro.hypergraph.compact import CompactHypergraph
-
-            compact = CompactHypergraph.from_hypergraph(hg)
-            results = []
-            for run_seed in seeds:
-                if results and budget is not None and budget.expired:
-                    break
-                results.append(
-                    vcycle_bipartition(
-                        hg, _replace(base_ml, seed=run_seed), compact=compact
-                    )
-                )
+    elif algorithm == "fm":
+        base = FMConfig(
+            balance_tolerance=balance_tolerance,
+            max_passes=max_passes,
+            budget=budget,
+        )
+    else:
+        base = ReplicationConfig(
+            threshold=threshold,
+            style=style,
+            balance_tolerance=balance_tolerance,
+            max_passes=max_passes,
+            max_growth=max_growth,
+            budget=budget,
+        )
+    start = time.perf_counter()
+    results = seeded_runs(hg, base, [seed * 7919 + run for run in range(runs)], jobs)
+    if use_ml:
         cuts = [r.final_cut for r in results]
         replicated = [
             r.replication.n_replicated if r.replication is not None else 0
             for r in results
         ]
-        elapsed = time.perf_counter() - start
-        return BipartitionReport(
-            circuit=mapped.name,
-            algorithm=algorithm,
-            runs=len(cuts),
-            cuts=cuts,
-            replicated_counts=replicated,
-            elapsed_seconds=elapsed,
-            n_cells=hg.n_cells,
-        )
-    if jobs > 1:
-        from repro.perf.parallel import parallel_runs
-
-        seeds = [seed * 7919 + run for run in range(runs)]
-        base: Union[FMConfig, ReplicationConfig]
-        if algorithm == "fm":
-            base = FMConfig(
-                balance_tolerance=balance_tolerance,
-                max_passes=max_passes,
-                budget=budget,
-            )
-        else:
-            base = ReplicationConfig(
-                threshold=threshold,
-                style=_ALGORITHM_STYLE[algorithm],
-                balance_tolerance=balance_tolerance,
-                max_passes=max_passes,
-                max_growth=max_growth,
-                budget=budget,
-            )
-        results = parallel_runs(hg, base, seeds, jobs)
+    else:
         cuts = [r.cut_size for r in results]
         replicated = [getattr(r, "n_replicated", 0) for r in results]
-        elapsed = time.perf_counter() - start
-        return BipartitionReport(
-            circuit=mapped.name,
-            algorithm=algorithm,
-            runs=len(cuts),
-            cuts=cuts,
-            replicated_counts=replicated,
-            elapsed_seconds=elapsed,
-            n_cells=hg.n_cells,
-        )
-    for run in range(runs):
-        if cuts and budget is not None and budget.expired:
-            break
-        run_seed = seed * 7919 + run
-        if algorithm == "fm":
-            result = fm_bipartition(
-                hg,
-                FMConfig(
-                    seed=run_seed,
-                    balance_tolerance=balance_tolerance,
-                    max_passes=max_passes,
-                    budget=budget,
-                ),
-            )
-            cuts.append(result.cut_size)
-            replicated.append(0)
-        else:
-            style = FUNCTIONAL if algorithm == "fm+functional" else TRADITIONAL
-            result = replication_bipartition(
-                hg,
-                ReplicationConfig(
-                    seed=run_seed,
-                    threshold=threshold,
-                    style=style,
-                    balance_tolerance=balance_tolerance,
-                    max_passes=max_passes,
-                    max_growth=max_growth,
-                    budget=budget,
-                ),
-            )
-            cuts.append(result.cut_size)
-            replicated.append(result.n_replicated)
-    elapsed = time.perf_counter() - start
     return BipartitionReport(
         circuit=mapped.name,
         algorithm=algorithm,
         runs=len(cuts),
         cuts=cuts,
         replicated_counts=replicated,
-        elapsed_seconds=elapsed,
+        elapsed_seconds=time.perf_counter() - start,
         n_cells=hg.n_cells,
     )
 
@@ -247,8 +157,8 @@ def kway_experiment(
     ``threshold=float('inf')`` reproduces the no-replication baseline
     (the "In [3]" columns of Tables IV-VII).  A graceful ``budget`` makes
     the flow return its best (possibly truncated) solution at expiry.
-    ``jobs > 1`` fans each carve level's candidate scan over a process
-    pool (deterministic per seed).
+    ``jobs`` is the worker count of each carve level's candidate scan
+    (``0`` = all cores; the solution is the same for every count).
 
     ``algorithm`` takes the same names as :func:`bipartition_experiment`
     (``"fm+functional"``, ``"fm+traditional"``, ``"fm"``).
@@ -286,13 +196,12 @@ def kway_solution(
     multilevel: Optional[bool] = None,
 ) -> KWaySolution:
     """Like :func:`kway_experiment` but returning the full solution object."""
-    resolved = _resolve_style(algorithm)
-    if threshold == float("inf"):
-        resolved = NONE
+    if algorithm not in ALGORITHM_STYLE:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
     config = KWayConfig(
         library=library or XC3000_LIBRARY,
         threshold=threshold,
-        style=resolved,
+        style=NONE if threshold == float("inf") else ALGORITHM_STYLE[algorithm],
         seed=seed,
         seeds_per_carve=seeds_per_carve,
         devices_per_carve=devices_per_carve,

@@ -37,14 +37,19 @@ from __future__ import annotations
 import heapq
 import random
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.hypergraph.compact import CompactHypergraph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs.metrics import get_registry
+from repro.perf.parallel import seeded_runs
 from repro.robust import faults
 from repro.robust.budget import Budget
+
+if TYPE_CHECKING:
+    from repro.partition.fm_replication import ReplicationConfig, ReplicationResult
+    from repro.partition.multilevel import MultilevelConfig, MultilevelResult
 
 #: How many accepted moves between budget polls inside a pass; keeps the
 #: cooperative deadline check off the per-move hot path.
@@ -661,43 +666,21 @@ def _run_pass(state: _FMState) -> int:
 def best_of_runs(
     hg: Hypergraph,
     runs: int,
-    base_config: Optional[FMConfig] = None,
+    base_config: Optional[Union[FMConfig, ReplicationConfig, MultilevelConfig]] = None,
     jobs: int = 1,
-) -> Tuple[FMResult, List[int]]:
-    """Run FM ``runs`` times with derived seeds; return (best result, all cuts).
+) -> Tuple[Union[FMResult, ReplicationResult, MultilevelResult], List[int]]:
+    """Run ``runs`` seeded runs; return (best result, all cut sizes).
 
-    Derived configs share the base config's ``fixed`` mapping and
-    ``budget`` object (both are read-only to the runs); only the seed
-    differs.  ``jobs > 1`` runs them over a process pool
-    (:func:`repro.perf.parallel.parallel_runs`); the reduction below is
-    the same either way, so the winner matches ``jobs=1``.
+    The engine follows the config type (plain FM by default; see
+    :func:`repro.perf.parallel.seeded_runs`), and a V-cycle run counts
+    with its final cut.  Derived configs share the base config's
+    ``fixed`` mapping and ``budget`` object (both are read-only to the
+    runs); only the seed differs.  ``jobs`` is the worker count
+    (``0`` = all cores); the winner is the first run with the smallest
+    cut, whatever the count.
     """
     base_config = base_config or FMConfig()
     seeds = [base_config.seed * 7919 + run for run in range(runs)]
-    results: Iterable[FMResult]
-    if jobs > 1:
-        from repro.perf.parallel import parallel_runs
-
-        results = parallel_runs(hg, base_config, seeds, jobs)
-    else:
-        results = _seeded_runs(hg, base_config, seeds)
-    best: Optional[FMResult] = None
-    cuts: List[int] = []
-    for result in results:
-        cuts.append(result.cut_size)
-        if best is None or result.cut_size < best.cut_size:
-            best = result
-    assert best is not None
-    return best, cuts
-
-
-def _seeded_runs(
-    hg: Hypergraph, base_config: FMConfig, seeds: Sequence[int]
-) -> Iterator[FMResult]:
-    """In-process runs, one per seed, until the shared budget expires
-    (the first run always completes)."""
-    compact = CompactHypergraph.from_hypergraph(hg)
-    for n, seed in enumerate(seeds):
-        if n and base_config.budget is not None and base_config.budget.expired:
-            return
-        yield fm_bipartition(hg, replace(base_config, seed=seed), compact=compact)
+    results = seeded_runs(hg, base_config, seeds, jobs)
+    cuts = [getattr(result, "final_cut", result.cut_size) for result in results]
+    return results[cuts.index(min(cuts))], cuts

@@ -29,8 +29,8 @@ from __future__ import annotations
 import heapq
 import random
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs.metrics import get_registry
@@ -1300,48 +1300,3 @@ def replication_bipartition(
 ) -> ReplicationResult:
     """Run one replication-aware FM bipartitioning on ``hg``."""
     return ReplicationEngine(hg, config, initial, tables=tables).run()
-
-
-def best_of_runs(
-    hg: Hypergraph,
-    runs: int,
-    base_config: Optional[ReplicationConfig] = None,
-    jobs: int = 1,
-) -> Tuple[ReplicationResult, List[int]]:
-    """Run ``runs`` seeded runs; return (best result, all final cut sizes).
-
-    Derived configs are :func:`dataclasses.replace` copies sharing the
-    base config's ``fixed`` mapping and ``budget`` object (read-only to
-    the runs); only the seed differs.  ``jobs > 1`` runs them over a
-    process pool (:func:`repro.perf.parallel.parallel_runs`) and the
-    reduction below is the same either way.
-    """
-    base = base_config or ReplicationConfig()
-    seeds = [base.seed * 7919 + run for run in range(runs)]
-    results: Iterable[ReplicationResult]
-    if jobs > 1:
-        from repro.perf.parallel import parallel_runs
-
-        results = parallel_runs(hg, base, seeds, jobs)
-    else:
-        results = _seeded_runs(hg, base, seeds)
-    best: Optional[ReplicationResult] = None
-    cuts: List[int] = []
-    for result in results:
-        cuts.append(result.cut_size)
-        if best is None or result.cut_size < best.cut_size:
-            best = result
-    assert best is not None
-    return best, cuts
-
-
-def _seeded_runs(
-    hg: Hypergraph, base: ReplicationConfig, seeds: Sequence[int]
-) -> Iterator[ReplicationResult]:
-    """In-process runs, one per seed, until the shared budget expires
-    (the first run always completes)."""
-    tables = ReplicationTables(hg)
-    for n, seed in enumerate(seeds):
-        if n and base.budget is not None and base.budget.expired:
-            return
-        yield replication_bipartition(hg, replace(base, seed=seed), tables=tables)

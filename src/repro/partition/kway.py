@@ -40,10 +40,11 @@ from repro.partition.fm_replication import (
     ReplicationTables,
 )
 from repro.partition.multilevel import (
-    MULTILEVEL_AUTO_MIN_CELLS,
     MultilevelConfig,
     MultilevelHierarchy,
+    resolve_multilevel,
 )
+from repro.perf.parallel import WorkerPool
 from repro.robust import faults
 from repro.robust.budget import Budget
 from repro.robust.errors import ConfigError, InfeasibleError
@@ -129,21 +130,22 @@ class KWayConfig:
     #: the benchmark harness's same-process baseline and for equivalence
     #: tests; both produce identical solutions for a given seed.
     engine: str = "fast"
-    #: Process fan-out of the carve candidate scan: each fill band's
+    #: Worker count of the carve candidate scan: each fill band's
     #: ``devices_per_carve x seeds_per_carve`` candidate runs are mapped
-    #: over a worker pool and reduced in sequential order, so the chosen
-    #: carve matches ``jobs=1`` for a given seed.  ``1`` stays in-process;
-    #: ``0`` or negative means all cores.
+    #: over a :class:`~repro.perf.parallel.WorkerPool` and reduced in plan
+    #: order, so the chosen carve is the same for every count given the
+    #: seed.  ``0`` or negative means all cores; the reference engine
+    #: always runs with one worker.
     jobs: int = 1
     #: Multilevel initial solutions for carve candidates: a V-cycle
     #: (:mod:`repro.partition.multilevel`) seeds each candidate's
     #: replication engine instead of a random start.  Tri-state: ``True``
     #: forces it on, ``False`` off, ``None`` (default) turns it on per
-    #: carve level once the working set reaches ``multilevel_min_cells``.
+    #: carve level once the working set reaches
+    #: :data:`~repro.partition.multilevel.MULTILEVEL_AUTO_MIN_CELLS`.
     #: The coarsening hierarchy is built once per carve scan and shared
     #: across every candidate (like ``ReplicationTables``).
     multilevel: Optional[bool] = None
-    multilevel_min_cells: int = MULTILEVEL_AUTO_MIN_CELLS
 
     def __post_init__(self) -> None:
         if self.engine not in ("fast", "reference"):
@@ -358,7 +360,7 @@ class _CarveOutcome:
     """Lightweight record of one finished carve candidate.
 
     Everything the carve reduction and commit need, without keeping (or
-    pickling, in the parallel scan) the whole engine: the final
+    pickling, from a pool worker) the whole engine: the final
     side/replication state plus the evaluation metrics.
     """
 
@@ -392,16 +394,12 @@ def _engine_outcome(
     )
 
 
-def _carve_pool_state(shared: Tuple) -> Tuple:
-    """Pool-worker state of a parallel carve scan: the level's
-    hypergraph, its replication tables and -- for multilevel scans --
-    the coarsening stack, built exactly like the sequential scan builds
-    it (seeded from the k-way seed with the scan's fixed set), so
-    ``jobs=N`` candidates match ``jobs=1`` bit for bit."""
-    from repro.perf.parallel import worker_budget
-
-    hg, pseudo, proto, ml_seed = shared
-    tables = ReplicationTables(hg)
+def _carve_state(shared: Tuple, budget: Optional[Budget]) -> Tuple:
+    """State of a carve scan: the level's hypergraph, its replication
+    tables and -- for multilevel scans -- the coarsening stack, seeded
+    from the k-way seed with the scan's fixed set.  The reference engine
+    builds its own structures per run, so it gets no tables."""
+    hg, pseudo, proto, ml_seed, reference = shared
     hierarchy: Optional[MultilevelHierarchy] = None
     if ml_seed is not None:
         hierarchy = MultilevelHierarchy(
@@ -410,24 +408,29 @@ def _carve_pool_state(shared: Tuple) -> Tuple:
                 seed=ml_seed,
                 max_passes=proto["max_passes"],
                 fixed=dict(proto["fixed"]),
-                budget=worker_budget(),
+                budget=budget,
             ),
         )
-    return hg, tables, frozenset(pseudo), proto, hierarchy
+    tables = None if reference else ReplicationTables(hg)
+    return hg, tables, pseudo, proto, hierarchy
 
 
-def _carve_pool_task(
-    state: Tuple, task: Tuple[int, int, int, int]
+def _carve_task(
+    state: Tuple, task: Tuple[int, int, int, int], budget: Optional[Budget]
 ) -> Optional[_CarveOutcome]:
-    """One candidate of a parallel carve scan: ``(device index, seed,
-    lo0, hi0)`` -> its outcome (``None`` for no progress)."""
-    from repro.perf.parallel import worker_budget
-
+    """One carve candidate: ``(device index, seed, lo0, hi0)`` -> its
+    outcome (``None`` for no progress)."""
     hg, tables, pseudo, proto, hierarchy = state
     device_index, seed, lo0, hi0 = task
     config = ReplicationConfig(
-        seed=seed, side0_bounds=(lo0, hi0), budget=worker_budget(), **proto
+        seed=seed, side0_bounds=(lo0, hi0), budget=budget, **proto
     )
+    if tables is None:
+        from repro.partition.reference import ReferenceReplicationEngine
+
+        reference = ReferenceReplicationEngine(hg, config)
+        reference.run()
+        return _engine_outcome(reference, pseudo, device_index)
     initial: Optional[List[int]] = None
     if hierarchy is not None:
         initial, _, _ = hierarchy.solve(seed, side0_bounds=(lo0, hi0))
@@ -490,13 +493,16 @@ def _scan_carve_candidates(
 ) -> Tuple[Optional[Tuple[Device, _CarveOutcome]], bool]:
     """Scan the fill-band ladder for the best carve candidate.
 
-    Runs ``devices_per_carve x seeds_per_carve`` candidate bipartitions
-    per fill band -- in-process for ``jobs=1``, over a
-    :class:`~repro.perf.parallel.WorkerPool` otherwise -- and reduces
-    them in sequential scan order, so the chosen carve is identical for
-    any job count given the same seed.  Returns ``((device, outcome) or
-    None, out_of_time)``; the first band producing a feasible candidate
-    wins and lower bands are not evaluated.
+    Each fill band plans its ``devices_per_carve x seeds_per_carve``
+    candidates -- ``(device index, seed, lo0, hi0)``, seeds drawn from
+    the k-way ``rng`` in plan order -- runs them with one
+    :meth:`~repro.perf.parallel.WorkerPool.map` (in-process at one
+    worker) and reduces the outcomes in plan order, so the chosen carve
+    is identical for any job count given the same seed.  Returns
+    ``((device, outcome) or None, out_of_time)``; the first band
+    producing a feasible candidate wins and lower bands are not
+    evaluated.  ``out_of_time`` is set when a band starts past the
+    budget or stops short of its plan.
     """
     budget = config.budget
     library = config.library
@@ -528,100 +534,39 @@ def _scan_carve_candidates(
             if fallback is None or fb_key < fallback[0]:
                 fallback = (fb_key, device, outcome)
 
-    use_reference = config.engine == "reference"
-    if config.multilevel is not None:
-        use_ml = config.multilevel and not use_reference
-    else:
-        use_ml = not use_reference and clbs >= config.multilevel_min_cells
+    reference = config.engine == "reference"
+    use_ml = not reference and resolve_multilevel(config.multilevel, clbs)
     if use_ml and reg.enabled:
         reg.counter("kway.multilevel_scans").inc()
-    if config.jobs != 1 and not use_reference:
-        from repro.perf.parallel import WorkerPool
-
-        proto = dict(
-            threshold=config.threshold,
-            style=config.style,
-            max_passes=config.max_passes,
-            fixed=dict(fixed),
-        )
-        shared = (hg, tuple(pseudo), proto, config.seed if use_ml else None)
-        with WorkerPool(
-            _carve_pool_state, shared, _carve_pool_task, config.jobs, budget
-        ) as pool:
-            for fill in config.carve_fill_levels:
-                if budget is not None and budget.expired:
-                    out_of_time = True
-                    break
-                plan: List[Tuple[int, int, int, int]] = []
-                for di, device in enumerate(candidates):
-                    hi0 = min(device.max_clbs, clbs - 1)
-                    lo0 = max(1, device.min_clbs, int(fill * hi0))
-                    if lo0 > hi0:
-                        continue
-                    for _ in range(config.seeds_per_carve):
-                        plan.append((di, rng.randrange(1 << 30), lo0, hi0))
-                n_bands += 1
-                n_cand += len(plan)
-                for outcome in pool.map(plan):
-                    consider(outcome)
-                if best is not None:
-                    break  # highest workable fill band wins
-    else:
-        tables: Optional[ReplicationTables] = None
-        hierarchy: Optional[MultilevelHierarchy] = None
+    proto = dict(
+        threshold=config.threshold,
+        style=config.style,
+        max_passes=config.max_passes,
+        fixed=dict(fixed),
+    )
+    shared = (
+        hg, frozenset(pseudo), proto, config.seed if use_ml else None, reference
+    )
+    jobs = 1 if reference else config.jobs
+    with WorkerPool(_carve_state, shared, _carve_task, jobs, budget) as pool:
         for fill in config.carve_fill_levels:
-            n_bands += 1
+            if budget is not None and budget.expired:
+                out_of_time = True
+                break
+            plan: List[Tuple[int, int, int, int]] = []
             for di, device in enumerate(candidates):
                 hi0 = min(device.max_clbs, clbs - 1)
                 lo0 = max(1, device.min_clbs, int(fill * hi0))
                 if lo0 > hi0:
                     continue
                 for _ in range(config.seeds_per_carve):
-                    if budget is not None and budget.expired:
-                        out_of_time = True
-                        break
-                    cand_seed = rng.randrange(1 << 30)
-                    rcfg = ReplicationConfig(
-                        seed=cand_seed,
-                        threshold=config.threshold,
-                        style=config.style,
-                        side0_bounds=(lo0, hi0),
-                        max_passes=config.max_passes,
-                        fixed=dict(fixed),
-                        budget=budget,
-                    )
-                    initial: Optional[List[int]] = None
-                    if use_ml and not use_reference:
-                        if hierarchy is None:
-                            hierarchy = MultilevelHierarchy(
-                                CompactHypergraph.from_hypergraph(hg),
-                                MultilevelConfig(
-                                    seed=config.seed,
-                                    max_passes=config.max_passes,
-                                    fixed=dict(fixed),
-                                    budget=budget,
-                                ),
-                            )
-                        initial, _, _ = hierarchy.solve(
-                            cand_seed, side0_bounds=(lo0, hi0)
-                        )
-                    if use_reference:
-                        from repro.partition.reference import (
-                            ReferenceReplicationEngine,
-                        )
-
-                        engine = ReferenceReplicationEngine(hg, rcfg)
-                    else:
-                        if tables is None:
-                            tables = ReplicationTables(hg)
-                        engine = ReplicationEngine(
-                            hg, rcfg, initial=initial, tables=tables
-                        )
-                    engine.run()
-                    n_cand += 1
-                    consider(_engine_outcome(engine, pseudo, di))
-                if out_of_time:
-                    break
+                    plan.append((di, rng.randrange(1 << 30), lo0, hi0))
+            outcomes = pool.map(plan)
+            n_bands += 1
+            n_cand += len(outcomes)
+            for outcome in outcomes:
+                consider(outcome)
+            out_of_time = len(outcomes) < len(plan)
             if best is not None or out_of_time:
                 break  # highest workable fill band wins
     if reg.enabled:

@@ -34,11 +34,12 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.flow import ALGORITHM_STYLE, bipartition_experiment
 from repro.core.results import BipartitionReport
 from repro.obs.metrics import get_registry
 from repro.partition.devices import DeviceLibrary, XC3000_LIBRARY
-from repro.partition.fm_replication import FUNCTIONAL, NONE, TRADITIONAL
 from repro.partition.kway import KWayConfig, KWaySolution, partition_heterogeneous
+from repro.partition.verify import verify_solution
 from repro.robust.budget import Budget
 from repro.robust.errors import (
     BudgetExceededError,
@@ -51,13 +52,7 @@ from repro.techmap.mapped import MappedNetlist
 
 #: Degradation cascade, strongest engine first (paper's contribution
 #: down to the plain [15] baseline).
-ENGINE_LADDER: Tuple[str, ...] = ("fm+functional", "fm+traditional", "fm")
-
-_ENGINE_STYLE: Dict[str, str] = {
-    "fm+functional": FUNCTIONAL,
-    "fm+traditional": TRADITIONAL,
-    "fm": NONE,
-}
+ENGINE_LADDER: Tuple[str, ...] = tuple(ALGORITHM_STYLE)
 
 #: Cap on the exponential split: no attempt slice is smaller than
 #: remaining / 2**_MAX_SPLIT_EXP.
@@ -179,20 +174,16 @@ class RunnerConfig:
     """Knobs for :class:`ResilientRunner`.
 
     ``deadline`` is the overall wall-clock budget in seconds (``None`` =
-    unlimited); ``attempt_timeout`` caps any single attempt on top of
-    the exponential split; ``max_retries`` is the number of *extra*
-    attempts per engine rung after the first; ``fallback`` enables the
-    degradation cascade; ``verify`` gates every k-way solution through
-    the independent checker; ``relax_carve`` loosens carve bounds as the
-    cascade degrades.  ``clock`` is injectable for deterministic tests.
+    unlimited); ``max_retries`` is the number of *extra* attempts per
+    engine rung after the first; ``fallback`` enables the degradation
+    cascade.  ``clock`` is injectable for deterministic tests.  Every
+    k-way solution passes the independent checker, and carve bounds
+    loosen as the cascade degrades.
     """
 
     deadline: Optional[float] = None
-    attempt_timeout: Optional[float] = None
     max_retries: int = 2
     fallback: bool = True
-    verify: bool = True
-    relax_carve: bool = True
     clock: Callable[[], float] = time.monotonic
 
 
@@ -252,15 +243,10 @@ class ResilientRunner:
         """Exponential budget split: probe cheap, spend big at the end."""
         remaining = total.remaining()
         if math.isinf(remaining):
-            allot: Optional[float] = None
-        elif attempts_left <= 1:
-            allot = remaining
-        else:
-            allot = remaining / (2 ** min(attempts_left - 1, _MAX_SPLIT_EXP))
-        cap = self.config.attempt_timeout
-        if cap is not None:
-            allot = cap if allot is None else min(allot, cap)
-        return allot
+            return None
+        if attempts_left <= 1:
+            return remaining
+        return remaining / (2 ** min(attempts_left - 1, _MAX_SPLIT_EXP))
 
     @staticmethod
     def _solution_key(sol: KWaySolution) -> Tuple:
@@ -280,7 +266,7 @@ class ResilientRunner:
         self, base: KWayConfig, rung: int
     ) -> KWayConfig:
         """Carve-bound relaxation applied as the cascade degrades."""
-        if rung == 0 or not self.config.relax_carve:
+        if rung == 0:
             return base
         extra = (0.15,) if rung == 1 else (0.15, 0.10)
         return replace(
@@ -333,15 +319,14 @@ class ResilientRunner:
                         detail=f"stepping down from {cascade[rung - 1]}",
                     )
                 )
-                if cfg.relax_carve:
-                    log.record(
-                        RunEvent(
-                            kind="relax",
-                            engine=rung_engine,
-                            elapsed=total.elapsed(),
-                            detail="extending carve fill bands, widening device candidates",
-                        )
+                log.record(
+                    RunEvent(
+                        kind="relax",
+                        engine=rung_engine,
+                        elapsed=total.elapsed(),
+                        detail="extending carve fill bands, widening device candidates",
                     )
+                )
             for attempt in range(attempts_per_rung):
                 if total.expired and best is not None:
                     return self._kway_result(best, best_engine, log, total)
@@ -353,7 +338,7 @@ class ResilientRunner:
                     KWayConfig(
                         library=library,
                         threshold=threshold,
-                        style=_ENGINE_STYLE[rung_engine],
+                        style=ALGORITHM_STYLE[rung_engine],
                         seed=run_seed,
                         seeds_per_carve=seeds_per_carve,
                         devices_per_carve=devices_per_carve,
@@ -374,10 +359,7 @@ class ResilientRunner:
                 started = cfg.clock()
                 try:
                     sol = partition_heterogeneous(mapped, kcfg)
-                    if cfg.verify:
-                        from repro.partition.verify import verify_solution
-
-                        verify_solution(mapped, sol, raise_on_violation=True)
+                    verify_solution(mapped, sol, raise_on_violation=True)
                 except FATAL:
                     raise
                 except Exception as exc:  # noqa: BLE001 - logged and retried
@@ -459,8 +441,6 @@ class ResilientRunner:
         attempts_per_rung = 1 + cfg.max_retries
         planned = attempts_per_rung * len(cascade)
         done = 0
-
-        from repro.core.flow import bipartition_experiment
 
         for rung, rung_engine in enumerate(cascade):
             if rung > 0:

@@ -304,3 +304,14 @@ def test_run_batch_pool_matches_sequential(sweep_manifest_small, tmp_path):
     assert pooled.workers == 2
     assert pooled.hit_rate == 1.0  # warm from the sequential run
     assert check_reports(seq.as_dict(), pooled.as_dict()) == []
+
+
+def test_run_batch_jobs_0_means_all_cores(sweep_manifest_small, tmp_path, monkeypatch):
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    report = run_batch(
+        sweep_manifest_small, jobs=0, cache="use", cache_dir=str(tmp_path / "c")
+    )
+    assert report.workers == 2
+    assert report.counts("status") == {"ok": 2}

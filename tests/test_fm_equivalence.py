@@ -24,13 +24,11 @@ import random
 
 import pytest
 
-from repro.partition.fm import FMConfig, fm_bipartition
-from repro.partition.fm import best_of_runs as fm_best_of_runs
+from repro.partition.fm import FMConfig, best_of_runs, fm_bipartition
 from repro.partition.fm_replication import (
     ReplicationConfig,
     replication_bipartition,
 )
-from repro.partition.fm_replication import best_of_runs as repl_best_of_runs
 from repro.partition.reference import (
     reference_fm_bipartition,
     reference_replication_bipartition,
@@ -150,8 +148,8 @@ def test_kway_fast_matches_reference_engine(mapped):
 def test_parallel_fm_same_winner_as_sequential():
     hg = _random_hypergraph(random.Random(321))
     base = FMConfig(seed=9)
-    seq_best, seq_cuts = fm_best_of_runs(hg, runs=4, base_config=base, jobs=1)
-    par_best, par_cuts = fm_best_of_runs(hg, runs=4, base_config=base, jobs=2)
+    seq_best, seq_cuts = best_of_runs(hg, runs=4, base_config=base, jobs=1)
+    par_best, par_cuts = best_of_runs(hg, runs=4, base_config=base, jobs=2)
     assert par_cuts == seq_cuts
     assert par_best.assignment == seq_best.assignment
     assert par_best.cut_size == seq_best.cut_size
@@ -160,8 +158,8 @@ def test_parallel_fm_same_winner_as_sequential():
 def test_parallel_replication_same_winner_as_sequential():
     hg = _random_hypergraph(random.Random(654))
     base = ReplicationConfig(seed=4, threshold=1)
-    seq_best, seq_cuts = repl_best_of_runs(hg, runs=3, base_config=base, jobs=1)
-    par_best, par_cuts = repl_best_of_runs(hg, runs=3, base_config=base, jobs=2)
+    seq_best, seq_cuts = best_of_runs(hg, runs=3, base_config=base, jobs=1)
+    par_best, par_cuts = best_of_runs(hg, runs=3, base_config=base, jobs=2)
     assert par_cuts == seq_cuts
     assert par_best.sides == seq_best.sides
     assert par_best.replicas == seq_best.replicas

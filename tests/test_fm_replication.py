@@ -4,13 +4,13 @@ from collections import defaultdict
 
 import pytest
 
+from repro.partition.fm import best_of_runs
 from repro.partition.fm_replication import (
     FUNCTIONAL,
     NONE,
     TRADITIONAL,
     ReplicationConfig,
     ReplicationEngine,
-    best_of_runs,
     replication_bipartition,
 )
 

@@ -189,12 +189,12 @@ class TestVCycle:
         assert sum(csr) / len(csr) <= 1.25 * sum(legacy) / len(legacy)
 
     def test_jobs_workers_bit_identical(self, small_hg):
-        from repro.perf.parallel import parallel_runs
+        from repro.perf.parallel import seeded_runs
 
         base = MultilevelConfig(seed=0)
         seeds = [11, 22, 33, 44]
-        seq = parallel_runs(small_hg, base, seeds, jobs=1)
-        par = parallel_runs(small_hg, base, seeds, jobs=2)
+        seq = seeded_runs(small_hg, base, seeds, jobs=1)
+        par = seeded_runs(small_hg, base, seeds, jobs=2)
         assert [r.assignment for r in seq] == [r.assignment for r in par]
         assert [r.final_cut for r in seq] == [r.final_cut for r in par]
 

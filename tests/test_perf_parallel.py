@@ -1,14 +1,20 @@
-"""The parallel fan-out layer and multi-start config derivation.
+"""The worker-pool layer and multi-start config derivation.
 
 Determinism of the parallel winners (``jobs N`` == ``jobs 1``) is covered
 end to end in ``tests/test_fm_equivalence.py``; this module tests the
-plumbing: jobs resolution, cross-process budget capture, clean ``jobs=1``
-degradation, and the :func:`dataclasses.replace`-based config derivation
-of the multi-start drivers (derived runs must *share* the base config's
-budget object and fixed mapping, never copy them).
+plumbing: jobs resolution, cross-process budget capture, where
+:class:`~repro.perf.parallel.WorkerPool` runs its tasks (in-process at
+one worker, a process pool otherwise, ``jobs=0`` meaning all cores), and
+the :func:`dataclasses.replace`-based config derivation of the
+multi-start drivers (derived runs must *share* the base config's budget
+object and fixed mapping, never copy them).
 """
 
+import concurrent.futures
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -17,12 +23,44 @@ import repro.partition.fm_replication as repl_mod
 from repro.partition.fm import FMConfig
 from repro.partition.fm_replication import ReplicationConfig
 from repro.perf.parallel import (
+    WorkerPool,
     _budget_allotment,
     _rebuild_budget,
     resolve_jobs,
 )
 from repro.robust.budget import Budget
 from tests.test_gain_model import _random_hypergraph
+
+
+def _no_process_pool(monkeypatch):
+    """Make any attempt to start a process pool fail the test."""
+
+    def boom(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("jobs=1 must stay in-process")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", boom)
+
+
+def _spy_process_pools(monkeypatch):
+    """Record the worker count of every process pool started."""
+    real = concurrent.futures.ProcessPoolExecutor
+    started = []
+
+    def spy(*args, **kwargs):
+        started.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    return started
+
+
+def _collect_state(shared, budget):
+    shared.append("built")
+    return len(shared)
+
+
+def _offset_task(state, item, budget):
+    return state * 100 + item
 
 
 class TestResolveJobs:
@@ -103,29 +141,104 @@ class TestDerivedConfigs:
             return real(hg_, config, initial, tables=tables)
 
         monkeypatch.setattr(repl_mod, "replication_bipartition", spy)
-        repl_mod.best_of_runs(hg, runs=3, base_config=base)
+        fm_mod.best_of_runs(hg, runs=3, base_config=base)
         assert len(seen) == 3
         assert all(cfg.budget is budget for cfg in seen)
         assert all(cfg.fixed is fixed for cfg in seen)
         assert [cfg.seed for cfg in seen] == [base.seed * 7919 + r for r in range(3)]
 
 
+class TestWorkerPoolMap:
+    def test_one_worker_stops_at_an_expired_budget_after_one_item(
+        self, monkeypatch
+    ):
+        _no_process_pool(monkeypatch)
+        with WorkerPool(_collect_state, [], _offset_task, 1, Budget(0.0)) as pool:
+            assert pool.map([1, 2, 3]) == [101]
+
+    def test_one_worker_builds_state_once_on_the_first_item(self, monkeypatch):
+        _no_process_pool(monkeypatch)
+        shared: list = []
+        with WorkerPool(_collect_state, shared, _offset_task, 1) as pool:
+            assert pool.map([]) == []
+            assert shared == []
+            assert pool.map([1, 2]) == [101, 102]
+            assert pool.map([3]) == [103]
+        assert shared == ["built"]
+
+    def test_two_workers_run_every_item(self):
+        with WorkerPool(_collect_state, [], _offset_task, 2, Budget(0.0)) as pool:
+            assert pool.map([1, 2, 3]) == [101, 102, 103]
+
+
+class TestJobsZeroMeansAllCores:
+    def test_best_of_runs_starts_a_pool_per_core(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        started = _spy_process_pools(monkeypatch)
+        hg = _random_hypergraph(random.Random(21))
+        best, cuts = fm_mod.best_of_runs(
+            hg, runs=3, base_config=FMConfig(seed=1), jobs=0
+        )
+        assert started == [2]
+        assert len(cuts) == 3 and best.cut_size == min(cuts)
+
+    def test_bipartition_experiment_starts_a_pool_per_core(self, monkeypatch):
+        from repro.core.flow import bipartition_experiment, map_circuit
+
+        mapped = map_circuit("s5378", scale=0.12, seed=7)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        started = _spy_process_pools(monkeypatch)
+        report = bipartition_experiment(mapped, "fm+functional", runs=2, jobs=0)
+        assert started == [2]
+        assert report.runs == 2
+
+
 class TestDegradation:
     def test_jobs_1_never_touches_the_pool(self, monkeypatch):
-        import repro.perf.parallel as par
+        from repro.netlist.benchmarks import benchmark_circuit
+        from repro.partition.kway import KWayConfig, partition_heterogeneous
+        from repro.techmap.mapped import technology_map
+        from tests.test_kway import TINY_LIBRARY
 
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("jobs=1 must stay sequential")
-
-        monkeypatch.setattr(par, "parallel_runs", boom)
-        monkeypatch.setattr(par, "WorkerPool", boom)
+        _no_process_pool(monkeypatch)
         hg = _random_hypergraph(random.Random(19))
         best, cuts = fm_mod.best_of_runs(hg, runs=2, base_config=FMConfig(seed=1))
         assert len(cuts) == 2 and best.cut_size == min(cuts)
-        best, cuts = repl_mod.best_of_runs(
+        best, cuts = fm_mod.best_of_runs(
             hg, runs=2, base_config=ReplicationConfig(seed=1, threshold=1)
         )
         assert len(cuts) == 2 and best.cut_size == min(cuts)
+        mapped = technology_map(benchmark_circuit("s5378", scale=0.12, seed=7))
+        solution = partition_heterogeneous(
+            mapped,
+            KWayConfig(library=TINY_LIBRARY, threshold=1, seed=3, seeds_per_carve=2),
+        )
+        assert solution.k >= 2  # the carve scan ran
+
+    def test_jobs_1_solve_loads_no_process_pool_module(self):
+        """The executor is imported where it is made, so an in-process
+        solve never loads ``multiprocessing``."""
+        import repro
+
+        code = (
+            "import sys\n"
+            "from repro import api\n"
+            "from repro.request import build_request\n"
+            "request = build_request('partition', 's5378', scale=0.25, threshold=1)\n"
+            "result = api.run_request(request, cache='off', jobs=1)\n"
+            "assert result.solution.k >= 2\n"
+            "print(sorted(m for m in ('concurrent.futures.process', "
+            "'multiprocessing') if m in sys.modules))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_parallel_with_expired_budget_still_returns(self):
         hg = _random_hypergraph(random.Random(20))

@@ -7,7 +7,7 @@ import pytest
 
 from repro import api
 from repro.batch.manifest import ManifestError, expand_manifest
-from repro.cache.store import SolutionCache, cache_key, key_for_request, use_cache
+from repro.cache.store import SolutionCache, cache_key, use_cache
 from repro.obs.ledger import config_fingerprint, netlist_fingerprint, run_key
 from repro.partition.devices import XC3000_LIBRARY, DeviceLibrary
 from repro.request import (
@@ -123,7 +123,6 @@ def test_cache_key_matches_ledger_run_key():
         request.seed,
     )
     assert request.cache_key(mapped) == expected
-    assert key_for_request(mapped, request) == expected
     assert cache_key(mapped, request.config(use_ml), request.seed) == expected
 
 
