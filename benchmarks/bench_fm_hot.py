@@ -14,9 +14,10 @@ subset) at ``REPRO_BENCH_SCALE`` (default 0.25) it times, in one process:
 
 asserts that fast and reference produce **identical** results (cut sizes,
 replica sets, device assignment, total cost, verification status), writes
-``BENCH_partition.json``, and with ``--gate`` fails (exit 1) when the
-machine-normalized wall-clock regresses more than 30% against the
-checked-in ``benchmarks/BENCH_partition.baseline.json``.
+``BENCH_partition.json``, and with ``--gate`` fails (exit 1) when a
+section's speedup -- the median ratio over interleaved fast/reference
+pairs -- falls more than 30% below the checked-in
+``benchmarks/BENCH_partition.baseline.json``.
 
 On top of the paper circuits it benches the multilevel V-cycle against
 flat fast FM on Rent-style generated netlists (``REPRO_BENCH_ML_CELLS``,
@@ -55,13 +56,12 @@ from repro.partition.reference import (  # noqa: E402
 from repro.partition.verify import verify_solution  # noqa: E402
 from repro.perf.bench import (  # noqa: E402
     DEFAULT_THRESHOLD,
-    best_of,
     check_regressions,
     default_history_path,
     default_report_path,
     load_report,
     make_report,
-    speedup,
+    paired_timing,
     time_call,
     write_report,
 )
@@ -82,12 +82,21 @@ ML_GATES_PER_CELL = 2.1
 # Disabled-mode observability must stay in the noise: the estimated cost
 # of the hooks, as a fraction of solver wall-clock, is gated at 3%.
 OBS_OVERHEAD_LIMIT = 0.03
-# The fm/replication sections are short enough to be noisy on loaded
-# machines; take the best of a few repeats (deterministic workloads, so
-# results are identical across repeats).  The k-way carve is long enough
-# to time once.
-REPEATS = 3
-KWAY_REPEATS = 2
+# Every section times fast and reference in interleaved pairs and gates
+# the median per-pair ratio (deterministic workloads, so results are
+# identical across repeats).  The fm/replication sections are short and
+# noisy on shared machines, so they take more pairs than the k-way carve.
+REPEATS = 7
+KWAY_REPEATS = 3
+
+
+def _rounded(stats):
+    """A :func:`paired_timing` result rounded for the report."""
+    return {
+        "fast_seconds": round(stats["fast_seconds"], 4),
+        "ref_seconds": round(stats["ref_seconds"], 4),
+        "speedup": round(stats["speedup"], 3),
+    }
 
 
 def _fm_section(hg):
@@ -108,16 +117,12 @@ def _fm_section(hg):
         best = min(results, key=lambda r: r.cut_size)
         return best, cuts
 
-    fast_seconds, (fast_best, fast_cuts) = best_of(fast, REPEATS)
-    ref_seconds, (ref_best, ref_cuts) = best_of(ref, REPEATS)
+    stats, (fast_best, fast_cuts), (ref_best, ref_cuts) = paired_timing(
+        fast, ref, REPEATS
+    )
     assert fast_cuts == ref_cuts, "FM multi-start diverged from reference"
     assert fast_best.assignment == ref_best.assignment
-    return {
-        "fast_seconds": round(fast_seconds, 4),
-        "ref_seconds": round(ref_seconds, 4),
-        "speedup": round(speedup(ref_seconds, fast_seconds), 3),
-        "cut": fast_best.cut_size,
-    }
+    return {**_rounded(stats), "cut": fast_best.cut_size}
 
 
 def _replication_section(hg):
@@ -138,28 +143,19 @@ def _replication_section(hg):
             for run in range(FM_RUNS)
         ]
 
-    fast_seconds, fast_results = best_of(fast, REPEATS)
-    ref_seconds, ref_results = best_of(ref, REPEATS)
+    stats, fast_results, ref_results = paired_timing(fast, ref, REPEATS)
     for a, b in zip(fast_results, ref_results):
         assert a.sides == b.sides, "replication FM diverged from reference"
         assert a.replicas == b.replicas
         assert a.cut_size == b.cut_size
-    return {
-        "fast_seconds": round(fast_seconds, 4),
-        "ref_seconds": round(ref_seconds, 4),
-        "speedup": round(speedup(ref_seconds, fast_seconds), 3),
-        "cut": min(r.cut_size for r in fast_results),
-    }
+    return {**_rounded(stats), "cut": min(r.cut_size for r in fast_results)}
 
 
 def _kway_section(mapped):
-    fast_seconds, fast = best_of(
+    stats, fast, ref = paired_timing(
         lambda: partition_heterogeneous(
             mapped, KWayConfig(seed=SEED, engine="fast")
         ),
-        KWAY_REPEATS,
-    )
-    ref_seconds, ref = best_of(
         lambda: partition_heterogeneous(
             mapped, KWayConfig(seed=SEED, engine="reference")
         ),
@@ -177,9 +173,7 @@ def _kway_section(mapped):
     violations = verify_solution(mapped, fast)
     assert not violations, f"solution failed verification: {violations}"
     return {
-        "fast_seconds": round(fast_seconds, 4),
-        "ref_seconds": round(ref_seconds, 4),
-        "speedup": round(speedup(ref_seconds, fast_seconds), 3),
+        **_rounded(stats),
         "k": fast.k,
         "total_cost": fast.cost.total_cost,
         "feasible": fast.cost.feasible,
@@ -231,15 +225,15 @@ def _multilevel_section(hg):
     def ref():
         return [fm_bipartition(hg, FMConfig(seed=s)) for s in ML_SEEDS]
 
-    fast_seconds, ml_results = time_call(fast)
-    ref_seconds, flat_results = time_call(ref)
+    stats, ml_results, flat_results = paired_timing(fast, ref)
+    fast_seconds, ref_seconds = stats["fast_seconds"], stats["ref_seconds"]
     ml_mean = sum(r.cut_size for r in ml_results) / len(ml_results)
     flat_mean = sum(r.cut_size for r in flat_results) / len(flat_results)
     assert ml_mean <= flat_mean, (
         f"multilevel mean cut {ml_mean:.1f} lost to flat FM {flat_mean:.1f} "
         f"on {hg.n_cells} cells"
     )
-    ratio = speedup(ref_seconds, fast_seconds)
+    ratio = stats["speedup"]
     if hg.n_cells >= ML_GATE_MIN_CELLS:
         assert ratio >= ML_SPEEDUP_FLOOR, (
             f"multilevel speedup {ratio:.2f}x below the "
@@ -247,9 +241,7 @@ def _multilevel_section(hg):
             f"(flat {ref_seconds:.2f}s vs V-cycle {fast_seconds:.2f}s)"
         )
     return {
-        "fast_seconds": round(fast_seconds, 4),
-        "ref_seconds": round(ref_seconds, 4),
-        "speedup": round(ratio, 3),
+        **_rounded(stats),
         "cut": round(ml_mean, 1),
         "ref_cut": round(flat_mean, 1),
         "n_cells": hg.n_cells,

@@ -51,10 +51,13 @@ _BUDGET_POLL_MOVES = 128
 #: Upper bounds for the ``repl.pass_seconds`` histogram.
 _PASS_SECONDS_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0)
 
-# Move kinds (internal).
-_MOVE = 0
-_REPLICATE = 1
-_UNREPLICATE = 2
+# Move kinds, as slot bases into ``ReplicationTables.move_class[v]``: slot
+# ``kind + side`` holds the class of a single move from ``side``, of a
+# replication that keeps the original on ``side``, or of an
+# un-replication onto ``side``.
+_SINGLE = 0
+_REPLICATE = 2
+_UNREPLICATE = 4
 
 
 @dataclass
@@ -142,7 +145,10 @@ class ReplicationTables:
       tables when output ``o`` is taken by the replica (functional style);
     * ``potentials[v]``: the paper's replication potential psi;
     * ``net_nodes`` / ``net_maxk``: net incidence and critical-window
-      bounds for the refresh scans.
+      bounds for the refresh scans;
+    * ``move_classes`` / ``move_class[v]``: the admissibility classes of
+      the pass loop's move queues, and each node's class ids by move kind
+      and side.
     """
 
     __slots__ = (
@@ -160,6 +166,8 @@ class ReplicationTables:
         "is_cell",
         "n_outputs",
         "output_nets",
+        "move_classes",
+        "move_class",
     )
 
     def __init__(self, hg: Hypergraph) -> None:
@@ -251,6 +259,32 @@ class ReplicationTables:
         self.is_cell = [node.is_cell for node in hg.nodes]
         self.n_outputs = [node.n_outputs for node in hg.nodes]
         self.output_nets = [list(node.output_nets) for node in hg.nodes]
+
+        # A move's admissibility class is its (side-0 CLB delta, side-1
+        # CLB delta, growth-checked) triple; nodes of equal weight share
+        # one row of class ids.
+        self.move_classes: List[Tuple[int, int, bool]] = []
+        class_ids: Dict[Tuple[int, int, bool], int] = {}
+        rows: Dict[int, Tuple[int, ...]] = {}
+        self.move_class: List[Tuple[int, ...]] = []
+        for w in self.weights:
+            row = rows.get(w)
+            if row is None:
+                ids: List[int] = []
+                for key in (
+                    (-w, w, False),
+                    (w, -w, False),
+                    (0, w, True),
+                    (w, 0, True),
+                    (0, -w, True),
+                    (-w, 0, True),
+                ):
+                    if key not in class_ids:
+                        class_ids[key] = len(self.move_classes)
+                        self.move_classes.append(key)
+                    ids.append(class_ids[key])
+                row = rows[w] = tuple(ids)
+            self.move_class.append(row)
 
 
 class ReplicationEngine:
@@ -444,20 +478,6 @@ class ReplicationEngine:
     # ------------------------------------------------------------------
     # Move mechanics
     # ------------------------------------------------------------------
-    def _state_pins(
-        self, v: int, side: int, rep: Optional[Tuple[int, int]]
-    ) -> List[Tuple[int, int, int]]:
-        if rep is None:
-            return [(net, side, k) for net, k in self.all_pins[v]]
-        s, o = rep
-        if o < 0:
-            return [(net, s, k) for net, k in self.all_pins[v]] + [
-                (net, 1 - s, k) for net, k in self.all_pins[v]
-            ]
-        return [(net, s, k) for net, k in self.orig_pins[v][o]] + [
-            (net, 1 - s, k) for net, k in self.repl_pins[v][o]
-        ]
-
     def _state_weight(self, v: int, rep: Optional[Tuple[int, int]]) -> Tuple[int, int]:
         """(side0 CLBs, side1 CLBs) of node ``v`` in the given state."""
         w = self.weights[v]
@@ -465,42 +485,13 @@ class ReplicationEngine:
             return (w, 0) if self.side[v] == 0 else (0, w)
         return (w, w)
 
-    def _net_delta(
-        self,
-        v: int,
-        new_side: int,
-        new_rep: Optional[Tuple[int, int]],
-    ) -> Dict[int, List[int]]:
-        """Per-net pin deltas [d_side0, d_side1, d_split] of a state change.
-
-        Kept as a dict-returning inspection helper; the hot paths
-        (:meth:`move_gain`, :meth:`set_state`) use the scratch-array
-        :meth:`_fill_deltas` instead, which accumulates into preallocated
-        per-net arrays and records first-touch order.
-        """
-        deltas: Dict[int, List[int]] = {}
-        for net, s, k in self.active_pins(v):
-            d = deltas.setdefault(net, [0, 0, 0])
-            d[s] -= k
-        cur = self.rep[v]
-        if cur is not None and cur[1] < 0:
-            for net in self.hg.nodes[v].output_nets:
-                deltas.setdefault(net, [0, 0, 0])[2] -= 1
-        for net, s, k in self._state_pins(v, new_side, new_rep):
-            d = deltas.setdefault(net, [0, 0, 0])
-            d[s] += k
-        if new_rep is not None and new_rep[1] < 0:
-            for net in self.hg.nodes[v].output_nets:
-                deltas.setdefault(net, [0, 0, 0])[2] += 1
-        return deltas
-
     def _fill_deltas(
         self, v: int, new_side: int, new_rep: Optional[Tuple[int, int]]
     ) -> List[int]:
         """Accumulate the state change's per-net deltas into the scratch
         arrays ``_d0``/``_d1``/``_dsplit``; returns the touched nets in
-        first-touch order (the same order :meth:`_net_delta` yields keys,
-        which the pass loop's refresh scan depends on).  The caller must
+        first-touch order (current state's pins, then the new state's),
+        which the pass loop's refresh scan depends on.  The caller must
         zero the scratch entries of every returned net when done.
         """
         d0, d1, ds = self._d0, self._d1, self._dsplit
@@ -728,79 +719,10 @@ class ReplicationEngine:
             ds[net] = 0
         return gain
 
-    def _set_side_single(self, v: int, new_side: int) -> List[int]:
-        """Specialized :meth:`set_state` for a plain single-node move
-        (the overwhelmingly common commit): no split changes, touched
-        nets are exactly the node's nets in ``all_pins`` order -- the
-        same first-touch order the generic path yields."""
-        counts, split = self.counts, self.split
-        s = self.side[v]
-        cut = self._cut
-        maintain = self._maintain_sgain
-        if maintain:
-            sgain, side, rep, locked = self.sgain, self.side, self.rep, self.locked
-            net_nodes, net_counts = self.net_nodes, self.net_node_counts
-            net_maxk = self.net_maxk
-        nupd = 0
-        touched: List[int] = []
-        append = touched.append
-        for net, k in self.all_pins[v]:
-            append(net)
-            c = counts[net]
-            b0 = c[0]
-            b1 = c[1]
-            if s == 0:
-                a0 = b0 - k
-                a1 = b1
-            else:
-                a0 = b0
-                a1 = b1 - k
-            if new_side == 0:
-                a0 += k
-            else:
-                a1 += k
-            c[0] = a0
-            c[1] = a1
-            if split[net]:
-                continue  # split nets never change cut status or gains
-            bc = b0 > 0 and b1 > 0
-            ac = a0 > 0 and a1 > 0
-            if bc:
-                cut -= 1
-            if ac:
-                cut += 1
-            if maintain:
-                w = net_maxk[net]
-                if b0 <= w or b1 <= w or a0 <= w or a1 <= w:
-                    for u, k_u in zip(net_nodes[net], net_counts[net]):
-                        if u == v or locked[u] or rep[u] is not None:
-                            continue
-                        if side[u] == 0:
-                            bs = b0
-                            as_ = a0
-                        else:
-                            bs = b1
-                            as_ = a1
-                        cb = (1 if bc else 0) - (1 if bs > k_u else 0)
-                        ca = (1 if ac else 0) - (1 if as_ > k_u else 0)
-                        if ca != cb:
-                            sgain[u] += ca - cb
-                            nupd += 1
-        self._cut = cut
-        self.n_sgain_updates += nupd
-        if s != new_side:
-            w_v = self.weights[v]
-            self.sizes[s] -= w_v
-            self.sizes[new_side] += w_v
-            self.side[v] = new_side
-        return touched
-
     def set_state(
         self, v: int, new_side: int, new_rep: Optional[Tuple[int, int]]
     ) -> List[int]:
         """Commit a state change; returns the affected net indices."""
-        if new_rep is None and self.rep[v] is None:
-            return self._set_side_single(v, new_side)
         counts, split = self.counts, self.split
         d0, d1, ds = self._d0, self._d1, self._dsplit
         touched = self._fill_deltas(v, new_side, new_rep)
@@ -878,33 +800,37 @@ class ReplicationEngine:
     # ------------------------------------------------------------------
     # Candidate moves
     # ------------------------------------------------------------------
-    def _balance_ok(self, v: int, new_rep: Optional[Tuple[int, int]], new_side: int) -> bool:
-        w = self.weights[v]
-        if self.rep[v] is None:
-            o0, o1 = (w, 0) if self.side[v] == 0 else (0, w)
-        else:
-            o0 = o1 = w
-        if new_rep is None:
-            n0, n1 = (w, 0) if new_side == 0 else (0, w)
-        else:
-            n0 = n1 = w
-        s0 = self.sizes[0] + n0 - o0
-        s1 = self.sizes[1] + n1 - o1
-        if self.instance_cap is not None and s0 + s1 > self.instance_cap:
-            return False
-        if self.lo0 is not None:
-            return self.lo0 <= s0 <= self.hi0 and s1 >= 0
-        assert self.max_imbalance is not None
-        if w == 0:
-            return True
-        return abs(s0 - s1) <= self.max_imbalance
+    def _admissible_classes(self) -> List[int]:
+        """Ids of the move classes the current sizes admit.
+
+        A class's size deltas decide the side balance check and, for
+        replications and un-replications, the growth cap.  A single move
+        keeps the instance total, so the cap is never checked for it.
+        """
+        size0, size1 = self.sizes
+        cap, lo0, hi0 = self.instance_cap, self.lo0, self.hi0
+        max_imb = self.max_imbalance
+        admitted: List[int] = []
+        for c, (d0, d1, grows) in enumerate(self.tables.move_classes):
+            s0 = size0 + d0
+            s1 = size1 + d1
+            if grows and cap is not None and s0 + s1 > cap:
+                continue
+            if lo0 is not None:
+                ok = lo0 <= s0 <= hi0 and s1 >= 0
+            else:
+                assert max_imb is not None
+                ok = (d0 == 0 and d1 == 0) or abs(s0 - s1) <= max_imb
+            if ok:
+                admitted.append(c)
+        return admitted
 
     def candidate_moves(self, v: int) -> List[Tuple[int, int, Optional[Tuple[int, int]]]]:
         """Legal moves for node ``v`` as ``(gain, new_side, new_rep)``.
 
-        Balance admissibility is *not* filtered here; the pass loop defers
-        balance-blocked moves and retries them as sizes change, like the
-        classic FM bucket scan.
+        Balance admissibility is *not* filtered here; the pass loop queues
+        moves by admissibility class and only selects from the classes
+        the current sizes admit, like the classic FM bucket scan.
         """
         node = self.hg.nodes[v]
         moves: List[Tuple[int, int, Optional[Tuple[int, int]]]] = []
@@ -963,7 +889,7 @@ class ReplicationEngine:
             sgain[v] = g
         self.n_sgain_recomputes += 1
 
-    def best_move(self, v: int) -> Optional[Tuple[int, int, Optional[Tuple[int, int]]]]:
+    def best_move(self, v: int) -> Tuple[int, int, Optional[Tuple[int, int]]]:
         """Highest-gain legal move of ``v``; ties resolve in candidate order
         (single move, then replications by output, then un-replicate to
         side 0 before side 1 -- ``max()``'s first-wins semantics over
@@ -1040,16 +966,6 @@ class ReplicationEngine:
     # ------------------------------------------------------------------
     # Pass loop
     # ------------------------------------------------------------------
-    def _push(self, heap: List, v: int) -> None:
-        best = self.best_move(v)
-        if best is None:
-            return
-        self.stamp[v] += 1
-        self._push_counter += 1
-        heapq.heappush(
-            heap, (-best[0], self._push_counter, v, self.stamp[v], best[1], best[2])
-        )
-
     def run_pass(self) -> int:
         """One FM pass with replication moves; returns the accepted gain."""
         for v in range(len(self.locked)):
@@ -1063,9 +979,25 @@ class ReplicationEngine:
             self._maintain_sgain = False
 
     def _run_pass_body(self) -> int:
-        heap: List = []
-        # Hot loop: localize attribute lookups and inline _push plus the
-        # single-move balance check (the overwhelmingly common cases).
+        """Select, commit and roll back the moves of one pass.
+
+        Every unlocked node keeps one live best move, queued by its
+        admissibility class (``ReplicationTables.move_classes``) on
+        ``(-gain, push counter)`` with stamp-based lazy invalidation.
+        Balance and growth depend only on a move's class and the current
+        sizes, so the best live top among the admitted classes is exactly
+        the first admissible entry in ``(-gain, push counter)`` order over
+        all queued moves.  A commit pushes each unlocked neighbour on a
+        window net once, in the order of its last occurrence in the
+        (net, member) scan.  A single-move commit is one walk over the
+        mover's nets: counts, ``sgain`` deltas and the refresh nets.  Its
+        rollback touches counts, sides and sizes only.  The cut is not
+        tracked move by move: the pass ends by setting it to the
+        pass-start cut minus the best gain, where the rollback lands.
+        """
+        classes = self.tables.move_classes
+        move_class = self.tables.move_class
+        queues: List[List] = [[] for _ in classes]
         heappush = heapq.heappush
         heappop = heapq.heappop
         best_move = self.best_move
@@ -1079,76 +1011,145 @@ class ReplicationEngine:
         sizes = self.sizes
         weights = self.weights
         counts = self.counts
+        split = self.split
+        all_pins = self.all_pins
         net_maxk = self.net_maxk
         net_nodes = self.net_nodes
-        lo0, hi0 = self.lo0, self.hi0
-        max_imb = self.max_imbalance
+        net_counts = self.net_node_counts
         budget = self.config.budget
         pc = self._push_counter
-
-        for v in self.movable:
-            best = best_move(v)
-            if best is not None:
-                stamp[v] += 1
-                pc += 1
-                heappush(heap, (-best[0], pc, v, stamp[v], best[1], best[2]))
+        start_cut = self._cut
+        seen = [0] * len(locked)  # refresh dedup, marked with the move count
 
         undo: List[Tuple[int, int, Optional[Tuple[int, int]]]] = []
-        deferred: List[Tuple] = []
         cumulative = 0
         best_gain = 0
         best_index = 0
         n_single = n_repl = n_unrep = 0
+        nupd = 0
+        # A node without replication candidates has the single move as
+        # its best move, read straight from sgain.
+        repl_arity = [0] * len(locked) if self._moves_only else self._repl_arity
+        # Admitted queues per (side-0 size, side-1 size) seen this pass.
+        admitted_at: Dict[Tuple[int, int], List[List]] = {}
+        pending: Sequence[int] = self.movable
 
-        while heap:
-            entry = heappop(heap)
-            neg_gain, _, v, st, new_side, new_rep = entry
-            if locked[v] or st != stamp[v]:
-                continue
-            if new_rep is None and rep[v] is None:
-                # Single move: total instances are unchanged, so the growth
-                # cap cannot newly fail; only the side balance matters.  The
-                # maintained sgain *is* the exact gain.
-                w = weights[v]
-                if new_side == 0:
-                    s0 = sizes[0] + w
-                    s1 = sizes[1] - w
+        while True:
+            for u in pending:
+                if rep[u] is None and not repl_arity[u]:
+                    s = side[u]
+                    gain = sgain[u]
+                    new_side = 1 - s
+                    new_rep = None
+                    cls = move_class[u][_SINGLE + s]
                 else:
-                    s0 = sizes[0] - w
-                    s1 = sizes[1] + w
-                if lo0 is not None:
-                    ok = lo0 <= s0 <= hi0 and s1 >= 0
-                else:
-                    ok = w == 0 or abs(s0 - s1) <= max_imb
-                gain = sgain[v]
-            else:
-                ok = self._balance_ok(v, new_rep, new_side)
-                # The stored gain may be stale; verify and refresh if needed.
-                gain = move_gain(v, new_side, new_rep) if ok else 0
-            if not ok:
-                # Balance-blocked: park the entry; retried after each move.
-                deferred.append(entry)
-                continue
-            if gain != -neg_gain:
-                best = best_move(v)
-                if best is not None:
-                    stamp[v] += 1
-                    pc += 1
-                    heappush(
-                        heap, (-best[0], pc, v, stamp[v], best[1], best[2])
-                    )
-                continue
+                    gain, new_side, new_rep = best_move(u)
+                    if new_rep is not None:
+                        cls = move_class[u][_REPLICATE + new_side]
+                    elif rep[u] is not None:
+                        cls = move_class[u][_UNREPLICATE + new_side]
+                    else:
+                        cls = move_class[u][_SINGLE + side[u]]
+                stamp[u] = st = stamp[u] + 1
+                pc += 1
+                heappush(queues[cls], (-gain, pc, u, st, new_side, new_rep))
 
+            key = (sizes[0], sizes[1])
+            if key not in admitted_at:
+                admitted_at[key] = [queues[i] for i in self._admissible_classes()]
+            top = None
+            for q in admitted_at[key]:
+                while q:
+                    entry = q[0]
+                    u = entry[2]
+                    if locked[u] or entry[3] != stamp[u]:
+                        heappop(q)
+                        continue
+                    if top is None or entry < top:
+                        top = entry
+                        top_queue = q
+                    break
+            if top is None:
+                break
+            heappop(top_queue)
+            neg_gain, _, v, _, new_side, new_rep = top
             old_rep = rep[v]
-            undo.append((v, side[v], old_rep))
-            changed = set_state(v, new_side, new_rep)
+            single = new_rep is None and old_rep is None
+            # The maintained sgain *is* a single move's exact gain; other
+            # stored gains may be stale: verify and requeue if so.
+            gain = sgain[v] if single else move_gain(v, new_side, new_rep)
+            if gain != -neg_gain:
+                pending = (v,)
+                continue
+
+            s = side[v]
+            undo.append((v, s, old_rep))
             locked[v] = True
-            if new_rep is not None:
-                n_repl += 1
-            elif old_rep is not None:
-                n_unrep += 1
-            else:
+            refresh: List[int] = []
+            if single:
+                for net, k in all_pins[v]:
+                    c = counts[net]
+                    b0 = c[0]
+                    b1 = c[1]
+                    if s == 0:
+                        a0 = b0 - k
+                        a1 = b1 + k
+                    else:
+                        a0 = b0 + k
+                        a1 = b1 - k
+                    c[0] = a0
+                    c[1] = a1
+                    w = net_maxk[net]
+                    window = 2 * w + 1
+                    if a0 <= window or a1 <= window:
+                        refresh.append(net)
+                    if split[net] or (b0 > w and b1 > w and a0 > w and a1 > w):
+                        # Split nets never change gains; outside the
+                        # critical window no member's gain term changes.
+                        continue
+                    # A member's gain term is [cut] - [own side > k_u].
+                    bc = 1 if b0 > 0 and b1 > 0 else 0
+                    ac = 1 if a0 > 0 and a1 > 0 else 0
+                    if w == 1:
+                        # Every member has one pin: one delta per side.
+                        d0 = ac - (a0 > 1) - bc + (b0 > 1)
+                        d1 = ac - (a1 > 1) - bc + (b1 > 1)
+                        if d0 or d1:
+                            for u in net_nodes[net]:
+                                if locked[u] or rep[u] is not None:
+                                    continue
+                                d = d1 if side[u] else d0
+                                if d:
+                                    sgain[u] += d
+                                    nupd += 1
+                        continue
+                    for u, k_u in zip(net_nodes[net], net_counts[net]):
+                        if locked[u] or rep[u] is not None:
+                            continue
+                        if side[u] == 0:
+                            cb = bc - (1 if b0 > k_u else 0)
+                            ca = ac - (1 if a0 > k_u else 0)
+                        else:
+                            cb = bc - (1 if b1 > k_u else 0)
+                            ca = ac - (1 if a1 > k_u else 0)
+                        if ca != cb:
+                            sgain[u] += ca - cb
+                            nupd += 1
+                side[v] = 1 - s
+                w_v = weights[v]
+                sizes[s] -= w_v
+                sizes[1 - s] += w_v
                 n_single += 1
+            else:
+                for net in set_state(v, new_side, new_rep):
+                    c = counts[net]
+                    window = 2 * net_maxk[net] + 1
+                    if c[0] <= window or c[1] <= window:
+                        refresh.append(net)
+                if new_rep is not None:
+                    n_repl += 1
+                else:
+                    n_unrep += 1
             cumulative += gain
             if cumulative > best_gain:
                 best_gain = cumulative
@@ -1161,43 +1162,39 @@ class ReplicationEngine:
             ):
                 break  # rollback below still lands on the best prefix
 
-            if deferred:
-                for parked in deferred:
-                    pv = parked[2]
-                    if not locked[pv] and parked[3] == stamp[pv]:
-                        heappush(heap, parked)
-                deferred.clear()
-
-            for net in changed:
-                c = counts[net]
-                window = net_maxk[net] * 2 + 1
-                if c[0] > window and c[1] > window:
-                    continue
-                for other in net_nodes[net]:
-                    if other != v and not locked[other]:
-                        best = best_move(other)
-                        if best is not None:
-                            stamp[other] += 1
-                            pc += 1
-                            heappush(
-                                heap,
-                                (
-                                    -best[0],
-                                    pc,
-                                    other,
-                                    stamp[other],
-                                    best[1],
-                                    best[2],
-                                ),
-                            )
+            # One push per unlocked neighbour, ordered by its last
+            # occurrence: earlier pushes of the same node would be stale
+            # on arrival.
+            mark = len(undo)
+            order: List[int] = []
+            for net in reversed(refresh):
+                for u in reversed(net_nodes[net]):
+                    if seen[u] != mark and not locked[u]:
+                        seen[u] = mark
+                        order.append(u)
+            order.reverse()
+            pending = order
 
         self._push_counter = pc
         self._maintain_sgain = False  # rollback needs no gain upkeep
         self.n_single_moves += n_single
         self.n_replicates += n_repl
         self.n_unreplicates += n_unrep
+        self.n_sgain_updates += nupd
         for v, old_side, old_rep in reversed(undo[best_index:]):
-            set_state(v, old_side, old_rep)
+            if old_rep is None and rep[v] is None:
+                cur = side[v]
+                for net, k in all_pins[v]:
+                    c = counts[net]
+                    c[cur] -= k
+                    c[old_side] += k
+                w = weights[v]
+                sizes[cur] -= w
+                sizes[old_side] += w
+                side[v] = old_side
+            else:
+                set_state(v, old_side, old_rep)
+        self._cut = start_cut - best_gain
         return best_gain
 
     def run(self) -> ReplicationResult:

@@ -9,7 +9,8 @@ and gated against a checked-in baseline.
 **Regression gating.**  Raw wall-clock is not comparable across machines,
 so the gate normalizes by the reference engine measured in the same run:
 a circuit regresses when its *speedup ratio* (reference seconds / fast
-seconds) drops more than ``threshold`` below the baseline ratio.  This is
+seconds, the median over interleaved pairs, see :func:`paired_timing`)
+drops more than ``threshold`` below the baseline ratio.  This is
 equivalent to gating machine-speed-corrected wall-clock:
 
     fast_now <= fast_base * (1 + threshold) * (ref_now / ref_base)
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -70,23 +72,44 @@ def time_call(fn: Callable[[], Any]) -> Tuple[float, Any]:
     return time.perf_counter() - start, result
 
 
-def best_of(fn: Callable[[], Any], repeats: int = 1) -> Tuple[float, Any]:
-    """Minimum wall-clock over ``repeats`` calls (noise floor estimator)."""
-    best_seconds: Optional[float] = None
-    result = None
-    for _ in range(max(1, repeats)):
-        seconds, result = time_call(fn)
-        if best_seconds is None or seconds < best_seconds:
-            best_seconds = seconds
-    assert best_seconds is not None
-    return best_seconds, result
-
-
 def speedup(ref_seconds: float, fast_seconds: float) -> float:
     """Reference-over-fast ratio; > 1 means the fast path wins."""
     if fast_seconds <= 0.0:
         return float("inf")
     return ref_seconds / fast_seconds
+
+
+def paired_timing(
+    fast: Callable[[], Any], ref: Callable[[], Any], repeats: int = 1
+) -> Tuple[Dict[str, float], Any, Any]:
+    """Time ``fast`` and ``ref`` in ``repeats`` back-to-back pairs.
+
+    Each pair times both calls under the same machine load, alternating
+    which goes first, so a slow spell moves both sides of that pair's
+    ratio; the median over pairs then drops a disturbed pair.  Returns
+    ``(stats, fast result, ref result)`` with the median ``fast_seconds``
+    and ``ref_seconds`` and, as ``speedup``, the median per-pair ratio.
+    """
+    fast_times: List[float] = []
+    ref_times: List[float] = []
+    ratios: List[float] = []
+    fast_result = ref_result = None
+    for i in range(max(1, repeats)):
+        if i % 2 == 0:
+            fast_s, fast_result = time_call(fast)
+            ref_s, ref_result = time_call(ref)
+        else:
+            ref_s, ref_result = time_call(ref)
+            fast_s, fast_result = time_call(fast)
+        fast_times.append(fast_s)
+        ref_times.append(ref_s)
+        ratios.append(speedup(ref_s, fast_s))
+    stats = {
+        "fast_seconds": statistics.median(fast_times),
+        "ref_seconds": statistics.median(ref_times),
+        "speedup": statistics.median(ratios),
+    }
+    return stats, fast_result, ref_result
 
 
 def make_report(
@@ -135,9 +158,7 @@ def history_entry(report: Dict[str, Any]) -> Dict[str, Any]:
                 section: {
                     "ref_seconds": sec.get("ref_seconds"),
                     "fast_seconds": sec.get("fast_seconds"),
-                    "speedup": speedup(
-                        sec.get("ref_seconds", 0.0), sec.get("fast_seconds", 0.0)
-                    ),
+                    "speedup": sec.get("speedup"),
                 }
                 for section, sec in entry.items()
                 if isinstance(sec, dict) and "ref_seconds" in sec
@@ -220,8 +241,8 @@ def check_regressions(
                 continue
             if base_sec["ref_seconds"] < 0.01 or cur_sec["ref_seconds"] < 0.01:
                 continue  # too fast to measure reliably
-            base_ratio = speedup(base_sec["ref_seconds"], base_sec["fast_seconds"])
-            cur_ratio = speedup(cur_sec["ref_seconds"], cur_sec["fast_seconds"])
+            base_ratio = base_sec["speedup"]
+            cur_ratio = cur_sec["speedup"]
             floor = base_ratio / (1.0 + threshold)
             if cur_ratio < floor:
                 problems.append(

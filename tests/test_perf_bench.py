@@ -10,6 +10,7 @@ from repro.perf.bench import (
     default_report_path,
     history_entry,
     make_report,
+    paired_timing,
     speedup,
     write_report,
 )
@@ -88,6 +89,33 @@ def test_sub_10ms_sections_are_skipped():
     base = _report(tiny={"kway": _section(0.005, 0.001)})
     current = _report(tiny={"kway": _section(0.005, 0.004)})
     assert check_regressions(current, base) == []
+
+
+def test_paired_timing_gates_the_median_pair_ratio(monkeypatch):
+    import repro.perf.bench as bench
+
+    clock = [0.0]
+    calls = []
+    monkeypatch.setattr(bench.time, "perf_counter", lambda: clock[0])
+
+    def timed(name, durations):
+        it = iter(durations)
+
+        def fn():
+            calls.append(name)
+            clock[0] += next(it)
+            return name
+
+        return fn
+
+    # The third pair is disturbed: a best-of-each-side ratio would read
+    # 3.0 / 1.0 from different pairs; the per-pair median drops the outlier.
+    stats, fast_result, ref_result = paired_timing(
+        timed("fast", [1.0, 2.0, 5.0]), timed("ref", [3.0, 4.0, 3.0]), 3
+    )
+    assert calls == ["fast", "ref", "ref", "fast", "fast", "ref"]
+    assert (fast_result, ref_result) == ("fast", "ref")
+    assert stats == {"fast_seconds": 2.0, "ref_seconds": 3.0, "speedup": 2.0}
 
 
 # ---------------------------------------------------------------------------

@@ -82,3 +82,21 @@ class TestDetectsCorruption:
         solution.blocks[0].nets.add("__phantom_net__")
         problems = verify_solution(mapped, solution)
         assert any("net presence" in p for p in problems)
+
+
+def test_verify_builds_the_live_net_map_once(mapped, monkeypatch):
+    from repro.techmap.mapped import MappedNetlist
+
+    sol = partition_heterogeneous(
+        mapped, KWayConfig(library=LIB, threshold=1, seed=3, seeds_per_carve=2)
+    )
+    calls = []
+    real_nets = MappedNetlist.nets
+
+    def counting_nets(self):
+        calls.append(1)
+        return real_nets(self)
+
+    monkeypatch.setattr(MappedNetlist, "nets", counting_nets)
+    assert verify_solution(mapped, sol) == []
+    assert len(calls) <= 1
