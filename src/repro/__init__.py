@@ -86,7 +86,7 @@ from repro.robust import (
     SolverTimeoutError,
     VerificationError,
 )
-from repro.robust.runner import ResilientRunner, RunLog, RunnerConfig
+from repro.robust.runner import RunLog
 from repro.obs.metrics import (
     MetricsRegistry,
     NULL_REGISTRY,
@@ -154,8 +154,6 @@ __all__ = [
     "BudgetExceededError",
     "SolverTimeoutError",
     "VerificationError",
-    "ResilientRunner",
-    "RunnerConfig",
     "RunLog",
     "MetricsRegistry",
     "NULL_REGISTRY",

@@ -13,7 +13,7 @@ service (:mod:`repro.service`)::
     result = api.run_request(req)
     result.solution.cost.total_cost      # the paper's eq. (1) objective
     result.metrics                       # observability snapshot (if tracing)
-    result.run_log                       # orchestration log (if resilient)
+    result.run_log                       # the attempt cascade's log
     api.RunResult.from_json(result.to_json())   # round-trippable results
 
 ``verb="bipartition"`` runs the paper's experiment 1 (Table III),
@@ -30,11 +30,13 @@ resolve.  The other verbs:
 
 Every verb returns a :class:`RunResult` stamped with
 ``schema_version`` so downstream consumers can detect shape changes.
-A request carrying any of ``deadline`` / ``max_retries`` / ``fallback``
-runs through :class:`~repro.robust.runner.ResilientRunner` (deadline
-splitting, retry with seed perturbation, engine degradation,
-checkpointing), which attaches its
-:class:`~repro.robust.runner.RunLog` to the result.
+Every cold solve is one attempt cascade
+(:func:`~repro.robust.runner.run_cascade`) whose first attempt is the
+plain solver call at the request's seed; a request carrying any of
+``deadline`` / ``max_retries`` / ``fallback`` adds deadline splitting,
+retry with seed perturbation, engine degradation and checkpointing.
+Each k-way attempt is verified before it can be returned, and the
+cascade's :class:`~repro.robust.runner.RunLog` rides on the result.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ from repro.obs.metrics import get_registry
 from repro.obs.summary import summarize_events
 from repro.obs.telemetry import new_trace_id, series
 from repro.partition.devices import XC3000_LIBRARY, DeviceLibrary, library_by_name
+from repro.partition.kway import KWayConfig
 from repro.partition.verify import verify_solution
-from repro.robust.budget import ambient_budget
 from repro.robust.budget import cancelled as _job_cancelled
 from repro.robust.errors import DeltaError
 from repro.request import (
@@ -72,7 +74,7 @@ from repro.request import (
     PartitionRequest,
     RequestError,
 )
-from repro.robust.runner import ResilientRunner, RunLog
+from repro.robust.runner import RunLog, relaxed_carve, run_cascade
 from repro.techmap.mapped import MappedNetlist
 
 #: Version of the :class:`RunResult` shape.  Bumped on any breaking
@@ -92,9 +94,9 @@ class RunResult:
     :class:`~repro.techmap.mapped.MappedNetlist`, a
     :class:`~repro.core.results.BipartitionReport`, a
     :class:`~repro.partition.kway.KWaySolution`, or the analyze verdict
-    dict).  ``run_log`` is populated only when the run went through the
-    resilient runner; ``metrics`` is the active observability registry's
-    snapshot (empty when tracing is disabled).
+    dict).  ``run_log`` is the attempt cascade's log of a cold solve
+    (``None`` for cache hits and warm repairs); ``metrics`` is the active
+    observability registry's snapshot (empty when tracing is disabled).
     """
 
     kind: str  # "load" | "map" | "bipartition" | "partition" | "analyze"
@@ -109,8 +111,10 @@ class RunResult:
     run_record: Optional[Dict[str, Any]] = None
     #: Solution-cache interaction of this call (:mod:`repro.cache`):
     #: ``None`` with ``cache="off"``, otherwise a dict with ``status``
-    #: (``"hit"`` | ``"miss"`` | ``"refreshed"``), ``key``, ``path`` and
-    #: -- on a hit -- ``saved_seconds`` (the original solve wall-clock).
+    #: (``"hit"`` | ``"miss"`` | ``"refreshed"`` | ``"skipped"``, the last
+    #: with a ``reason``: ``"cancelled"`` or ``"truncated"``), ``key``,
+    #: ``path`` and -- on a hit -- ``saved_seconds`` (the original solve
+    #: wall-clock).
     #: Additive field, same compatibility note as ``run_record``.
     cache_info: Optional[Dict[str, Any]] = None
 
@@ -128,9 +132,8 @@ class RunResult:
         their solutions round-trip through the solution-cache codec, which
         is exactly the representation cache entries and service responses
         already carry -- one serialization instead of three near-copies.
-        The resilient-runner log travels one-way as its ``as_record()``
-        summary under ``"runner"`` (the live :class:`RunLog` object is not
-        reconstructible); raises ``TypeError`` for the other verbs.
+        The attempt cascade's log travels as its ``as_record()`` summary
+        under ``"runner"``; raises ``TypeError`` for the other verbs.
         """
         return {
             "schema": RESULT_SCHEMA_NAME,
@@ -153,8 +156,8 @@ class RunResult:
     def from_dict(cls, doc: Any) -> "RunResult":
         """Rebuild a result from its document form.
 
-        ``run_log`` is always ``None`` on the way back (the ``"runner"``
-        summary is one-way; it stays available in the source document).
+        ``run_log`` comes back as far as the ``"runner"`` summary holds it
+        (:meth:`RunLog.from_record`), so the document round-trips.
         Raises ``ValueError`` on a wrong schema or undecodable solution.
         """
         if not isinstance(doc, dict):
@@ -164,10 +167,11 @@ class RunResult:
             raise ValueError(
                 f"result schema {schema!r}, expected {RESULT_SCHEMA_NAME!r}"
             )
+        runner = doc.get("runner")
         return cls(
             kind=doc["kind"],
             solution=cache_codec.decode_solution(doc["solution"]),
-            run_log=None,
+            run_log=RunLog.from_record(runner) if runner else None,
             metrics=doc.get("metrics") or {},
             elapsed_seconds=float(doc.get("elapsed_seconds", 0.0)),
             schema_version=int(doc.get("v", SCHEMA_VERSION)),
@@ -188,26 +192,6 @@ class RunResult:
 def _metrics_snapshot() -> Dict[str, Any]:
     reg = get_registry()
     return reg.snapshot() if reg.enabled else {}
-
-
-def _wants_runner(
-    deadline: Optional[float],
-    max_retries: Optional[int],
-    fallback: Optional[bool],
-) -> bool:
-    return deadline is not None or max_retries is not None or fallback is not None
-
-
-def _make_runner(
-    deadline: Optional[float],
-    max_retries: Optional[int],
-    fallback: Optional[bool],
-) -> ResilientRunner:
-    return ResilientRunner(
-        deadline=deadline,
-        max_retries=2 if max_retries is None else max_retries,
-        fallback=True if fallback is None else fallback,
-    )
 
 
 def _cache_try_hit(
@@ -362,6 +346,82 @@ def _try_warm_solve(
     return solution, info
 
 
+def _truncated(request: PartitionRequest, solution: Any) -> bool:
+    """Whether a deadline cut ``solution`` short: a truncated k-way
+    solution, or a bipartition report with fewer runs than requested."""
+    if request.verb == "bipartition":
+        return solution.runs < request.runs
+    return bool(solution.truncated)
+
+
+def _solve(
+    request: PartitionRequest,
+    mapped: MappedNetlist,
+    library: Optional[DeviceLibrary],
+    n_jobs: int,
+    use_ml: bool,
+) -> tuple:
+    """``(solution, RunLog)``: the request's cold solve, one attempt
+    cascade (:func:`~repro.robust.runner.run_cascade`) for both verbs.
+
+    Each attempt is the verb's plain call -- ``kway_solution`` or
+    ``bipartition_experiment`` -- at the cascade's engine, seed and
+    budget, so a request without resilience fields is exactly one plain
+    call at its own seed.  Every k-way attempt must pass
+    ``verify_solution`` before it can become a checkpoint.
+    """
+    if request.verb == "bipartition":
+
+        def attempt(engine: str, rung: int, seed: int, budget: Any) -> tuple:
+            report = bipartition_experiment(
+                mapped,
+                algorithm=engine,
+                runs=request.runs,
+                threshold=request.threshold,
+                seed=seed,
+                balance_tolerance=request.balance_tolerance,
+                max_passes=request.max_passes,
+                max_growth=request.max_growth,
+                budget=budget,
+                jobs=n_jobs,
+                multilevel=use_ml,
+            )
+            return report, (_truncated(request, report), False, report.best_cut)
+
+    else:
+
+        def attempt(engine: str, rung: int, seed: int, budget: Any) -> tuple:
+            fill_levels, devices = relaxed_carve(
+                rung, KWayConfig.carve_fill_levels, request.devices_per_carve
+            )
+            solution = kway_solution(
+                mapped,
+                threshold=request.threshold,
+                library=library,
+                n_solutions=request.n_solutions,
+                seed=seed,
+                seeds_per_carve=request.seeds_per_carve,
+                algorithm=engine,
+                devices_per_carve=devices,
+                budget=budget,
+                jobs=n_jobs,
+                multilevel=request.multilevel.tri,
+                carve_fill_levels=fill_levels,
+            )
+            verify_solution(mapped, solution, raise_on_violation=True)
+            rank = (_truncated(request, solution), not solution.feasible)
+            return solution, rank + solution.cost.objective_key()
+
+    return run_cascade(
+        attempt,
+        engine=request.algorithm.value,
+        seed=request.seed,
+        deadline=request.deadline,
+        max_retries=request.max_retries,
+        fallback=request.fallback,
+    )
+
+
 def load(
     circuit: Union[str, Netlist],
     scale: float = 1.0,
@@ -424,18 +484,18 @@ def run_request(
 
     This is the single execution path: ledger resolution, technology
     mapping, multilevel resolution, cache lookup (verify-before-trust),
-    the solve itself (resilient runner when the request carries any of
-    ``deadline`` / ``max_retries`` / ``fallback``), cache store and
-    ledger append.  Every front door -- library callers, the CLI, batch
-    jobs, the service -- builds a request and lands here, so they are
-    bit-identical by construction.
+    the solve itself (one attempt cascade, verified for k-way), cache
+    store and ledger append.  Every front door -- library callers, the
+    CLI, batch jobs, the service -- builds a request and lands here, so
+    they are bit-identical by construction.
 
     ``cache="use"`` consults the solution cache
     (:func:`repro.cache.resolve_cache`) and memoizes misses; a k-way hit
     is re-verified against the live mapped netlist before it is trusted
     and skips the solve and the ledger append.  ``"refresh"`` recomputes
     and overwrites the entry; ``"off"`` (the request default) bypasses
-    the cache.  A carried ``delta`` makes the call an incremental
+    the cache.  A cancelled or deadline-truncated solve is returned but
+    never stored.  A carried ``delta`` makes the call an incremental
     re-solve that warm-starts from the nearest cached ancestor (see
     ``docs/INCREMENTAL.md``).  When a run ledger is enabled
     (:func:`repro.obs.ledger.resolve_ledger`) the quality record is
@@ -542,82 +602,14 @@ def _execute_request(
             library = library_by_name(request.library)
     log: Optional[RunLog] = None
     warm_info: Optional[Dict[str, Any]] = None
-    wants_runner = _wants_runner(
-        request.deadline, request.max_retries, request.fallback
-    )
+    solution = None
     with obs_ledger.capture_events(enabled=ledger is not None) as events:
-        if kind == "bipartition":
-            if wants_runner:
-                outcome = _make_runner(
-                    request.deadline, request.max_retries, request.fallback
-                ).bipartition(
-                    mapped,
-                    algorithm=request.algorithm.value,
-                    runs=request.runs,
-                    threshold=request.threshold,
-                    seed=request.seed,
-                    balance_tolerance=request.balance_tolerance,
-                    max_passes=request.max_passes,
-                    max_growth=request.max_growth,
-                    jobs=n_jobs,
-                    multilevel=use_ml,
-                )
-                solution, log = outcome.report, outcome.log
-            else:
-                solution = bipartition_experiment(
-                    mapped,
-                    algorithm=request.algorithm.value,
-                    runs=request.runs,
-                    threshold=request.threshold,
-                    seed=request.seed,
-                    balance_tolerance=request.balance_tolerance,
-                    max_passes=request.max_passes,
-                    max_growth=request.max_growth,
-                    budget=ambient_budget(),
-                    jobs=n_jobs,
-                    multilevel=use_ml,
-                )
-        else:
-            solution = None
-            if (
-                dirty is not None
-                and not wants_runner
-                and (request.warm_start or "auto") != "off"
-            ):
-                solution, warm_info = _try_warm_solve(
-                    request, store, base_mapped, mapped, dirty, config
-                )
-            if solution is not None:
-                pass  # warm repair succeeded; skip the cold solve
-            elif wants_runner:
-                outcome = _make_runner(
-                    request.deadline, request.max_retries, request.fallback
-                ).kway(
-                    mapped,
-                    threshold=request.threshold,
-                    library=library,
-                    algorithm=request.algorithm.value,
-                    seed=request.seed,
-                    seeds_per_carve=request.seeds_per_carve,
-                    devices_per_carve=request.devices_per_carve,
-                    jobs=n_jobs,
-                    multilevel=request.multilevel.tri,
-                )
-                solution, log = outcome.solution, outcome.log
-            else:
-                solution = kway_solution(
-                    mapped,
-                    threshold=request.threshold,
-                    library=library,
-                    n_solutions=request.n_solutions,
-                    seed=request.seed,
-                    seeds_per_carve=request.seeds_per_carve,
-                    algorithm=request.algorithm.value,
-                    devices_per_carve=request.devices_per_carve,
-                    budget=ambient_budget(),
-                    jobs=n_jobs,
-                    multilevel=request.multilevel.tri,
-                )
+        if dirty is not None and (request.warm_start or "auto") != "off":
+            solution, warm_info = _try_warm_solve(
+                request, store, base_mapped, mapped, dirty, config
+            )
+        if solution is None:
+            solution, log = _solve(request, mapped, library, n_jobs, use_ml)
     elapsed = perf_counter() - start
     if warm_info is not None and warm_info.get("mode") == "warm":
         prev_elapsed = warm_info.get("ancestor_elapsed")
@@ -642,6 +634,10 @@ def _execute_request(
         # truncated, and memoizing it under the canonical key would
         # poison the cache for every future asker of the same request.
         cache_info = {"status": "skipped", "reason": "cancelled"}
+    elif store is not None and _truncated(request, solution):
+        # A deadline cut the solve short: the answer depends on the
+        # machine, so a replay of it would not be a replay of a solve.
+        cache_info = {"status": "skipped", "reason": "truncated"}
     elif store is not None:
         cache_info = _cache_store_result(
             kind,

@@ -6,7 +6,7 @@ algorithm x seeds; :mod:`repro.batch.manifest`) into scheduled work
 content-addressed solution cache (:mod:`repro.cache`), ordered so
 shared-netlist work stays adjacent, fanned out over a process pool
 (:func:`repro.batch.worker.job_pool`) with a global
-deadline budget and per-job resilient-runner policies, and distilled
+deadline budget and per-job resilience policies, and distilled
 into a batch report whose ``stable_view`` must reproduce bit-identically
 between a cold and a warm (all-cache-hit) run.
 

@@ -19,7 +19,7 @@ list expands one entry into one :class:`BatchJob` per seed (a scalar
 ``seed`` is also accepted).  ``threshold`` accepts the paper's
 ``T = inf`` baseline as the string ``"inf"`` (strict JSON has no
 infinity literal).  Per-job ``deadline`` / ``max_retries`` / ``fallback``
-route each job through the resilient runner exactly as the same
+shape each job's attempt cascade exactly as the same
 :class:`~repro.request.PartitionRequest` fields do -- and, like those,
 they are part of the job's cache identity.
 

@@ -20,8 +20,8 @@
    :func:`~repro.batch.worker.job_pool` fans jobs out, each worker
    sharing the batch's on-disk solution cache.  Per-job resilience
    (deadline/max_retries/fallback from the manifest) happens *inside*
-   the verb via :class:`~repro.robust.runner.ResilientRunner`; the
-   scheduler's own ``deadline`` is a global
+   the verb's attempt cascade (:func:`~repro.robust.runner.run_cascade`);
+   the scheduler's own ``deadline`` is a global
    :class:`~repro.robust.budget.Budget` -- jobs that cannot start (or
    finish being collected) before it expires are reported ``skipped``,
    never silently dropped.  While collecting, each outstanding job is

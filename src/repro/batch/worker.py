@@ -130,8 +130,8 @@ def execute_job(job: BatchJob, cache: str = "use") -> JobOutcome:
     the outcome.
 
     Failures are captured, never raised: a batch must report a broken
-    job and keep going (the per-job resilient-runner policies inside the
-    verb already handled retry/degradation before an exception escapes).
+    job and keep going (the per-job attempt cascade inside the verb
+    already handled retry/degradation before an exception escapes).
     A job solves in one process: the batch fans out over jobs, never
     inside one.
     """

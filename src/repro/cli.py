@@ -99,14 +99,15 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
         type=_json_number,
         default=None,
         metavar="SECONDS",
-        help="overall wall-clock budget; routes through the resilient runner "
-        "and returns the best solution found in time",
+        help="overall wall-clock budget, split over retries and engine "
+        "fallbacks; returns the best solution found in time",
     )
     parser.add_argument(
         "--max-retries",
         type=int,
         default=None,
-        help="extra attempts per engine before degrading (resilient runner)",
+        help="extra attempts per engine before degrading (default 2 once "
+        "--deadline or --no-fallback is given, else 0)",
     )
     parser.add_argument(
         "--no-fallback",
@@ -237,12 +238,10 @@ def _request_from_args(args: argparse.Namespace) -> Any:
         raise SystemExit(str(exc)) from exc
 
 
-def _engine(log: Any, verb: str) -> str:
-    """The engine behind a resilient run's solution (``RunResult`` has
-    none): k-way returns its last, best verified checkpoint, bipartition
-    returns on its first successful attempt."""
-    kind = "checkpoint" if verb == "partition" else "attempt"
-    events = [event for event in log.events if event.kind == kind]
+def _engine(log: Any) -> str:
+    """The engine behind a solve's solution (``RunResult`` has none):
+    the attempt cascade returns its last, best checkpoint."""
+    events = [event for event in log.events if event.kind == "checkpoint"]
     return events[-1].engine if events else ""
 
 
@@ -318,7 +317,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
         problems = verify_solution(request.apply_delta(mapped)[0], result.solution)
     log = result.run_log
-    engine = _engine(log, request.verb) if log is not None else None
+    engine = _engine(log) if log is not None else None
     report = result.solution
     if request.verb == "partition":
         report = kway_report_from_solution(

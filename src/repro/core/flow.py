@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 import time
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from repro.core.results import (
     BipartitionReport,
@@ -37,7 +37,7 @@ from repro.robust.errors import ConfigError
 from repro.techmap.mapped import MappedNetlist, technology_map
 
 #: Algorithm name -> replication style of the inner engine, strongest
-#: first (the resilient runner's degradation cascade walks this order).
+#: first (the attempt cascade's degradation walks this order).
 ALGORITHM_STYLE = {
     "fm+functional": FUNCTIONAL,
     "fm+traditional": TRADITIONAL,
@@ -194,8 +194,13 @@ def kway_solution(
     budget: Optional[Budget] = None,
     jobs: int = 1,
     multilevel: Optional[bool] = None,
+    carve_fill_levels: Tuple[float, ...] = KWayConfig.carve_fill_levels,
 ) -> KWaySolution:
-    """Like :func:`kway_experiment` but returning the full solution object."""
+    """Like :func:`kway_experiment` but returning the full solution object.
+
+    ``carve_fill_levels`` is :attr:`KWayConfig.carve_fill_levels`; the
+    attempt cascade extends it on its lower rungs.
+    """
     if algorithm not in ALGORITHM_STYLE:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     config = KWayConfig(
@@ -205,6 +210,7 @@ def kway_solution(
         seed=seed,
         seeds_per_carve=seeds_per_carve,
         devices_per_carve=devices_per_carve,
+        carve_fill_levels=carve_fill_levels,
         budget=budget,
         jobs=jobs,
         multilevel=multilevel,

@@ -2,7 +2,7 @@
 
 ``repro.obs`` is the process-local instrumentation layer threaded
 through the partitioning stack (FM passes, replication moves, k-way
-carve levels, resilient-runner decisions, process-pool workers):
+carve levels, attempt-cascade decisions, process-pool workers):
 
 * :mod:`repro.obs.metrics` -- :class:`MetricsRegistry` with counters,
   gauges and explicit-bucket histograms, plus snapshot/merge for

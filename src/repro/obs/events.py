@@ -16,7 +16,7 @@ into memory.  The schema (``repro-obs-events/1``) is deliberately flat:
   (``time.process_time`` delta, profiling mode) and ``attrs`` (span
   attributes);
 * ``kind="event"`` -- an ad-hoc structured event with ``fields``
-  (e.g. the resilient runner's attempt/degrade/checkpoint decisions);
+  (e.g. the attempt cascade's attempt/degrade/checkpoint decisions);
 * ``kind="counter"`` / ``"gauge"`` -- a final metric ``value``;
 * ``kind="histogram"`` -- ``count``, ``sum``, ``min``, ``max`` and
   ``buckets`` as ``[upper_bound, count]`` pairs (the last bound is

@@ -231,8 +231,8 @@ def distill_convergence(events: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
       (``fm.run_gains`` / ``repl.run_gains`` events), capped at
       :data:`MAX_PASS_SERIES` with ``pass_series_dropped`` counting the
       overflow;
-    * ``runner_attempts`` -- resilient-runner attempt outcomes, when the
-      run went through :class:`~repro.robust.runner.ResilientRunner`;
+    * ``runner_attempts`` -- the attempt cascade's attempt outcomes
+      (:func:`~repro.robust.runner.run_cascade`, every cold solve);
     * ``multilevel`` -- the V-cycle profile (``ml.level`` events: level
       index, cells, nets, cut after refinement, match rate), capped at
       :data:`MAX_ML_LEVELS` with ``multilevel_dropped`` counting the

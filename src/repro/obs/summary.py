@@ -4,7 +4,7 @@
 event stream through :func:`summarize_events` to get the terminal
 summary: per-span-name timing aggregates, a depth-indented trace of the
 slowest top-level spans, counters/gauges, histogram tables and the
-orchestration events the resilient runner recorded.
+orchestration events the attempt cascade recorded.
 """
 
 from __future__ import annotations

@@ -97,6 +97,8 @@ class ReplicationConfig:
     def __post_init__(self) -> None:
         if self.style not in (FUNCTIONAL, TRADITIONAL, NONE):
             raise ConfigError(f"unknown replication style {self.style!r}")
+        if self.max_growth is not None and self.max_growth < 0:
+            raise ConfigError(f"max_growth {self.max_growth!r} is negative")
 
 
 @dataclass

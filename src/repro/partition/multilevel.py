@@ -44,6 +44,7 @@ from repro.partition.fm_replication import (
     ReplicationResult,
 )
 from repro.robust.budget import Budget
+from repro.robust.errors import ConfigError
 
 #: Nets above this degree are ignored during affinity scoring (they carry
 #: almost no locality signal and dominate the runtime otherwise).
@@ -81,6 +82,10 @@ class MultilevelConfig:
     fixed: Dict[int, int] = field(default_factory=dict)
     max_growth: Optional[float] = None
     budget: Optional[Budget] = None
+
+    def __post_init__(self) -> None:
+        if self.max_growth is not None and self.max_growth < 0:
+            raise ConfigError(f"max_growth {self.max_growth!r} is negative")
 
 
 @dataclass

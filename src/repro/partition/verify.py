@@ -42,9 +42,9 @@ def verify_solution(
 
     With ``raise_on_violation=True`` a non-empty list raises
     :class:`~repro.robust.errors.VerificationError` carrying the full
-    violation list, which is how
-    :class:`~repro.robust.runner.ResilientRunner` uses this checker as a
-    post-run gate (reject-and-retry on corrupt solutions).
+    violation list, which is how every k-way attempt of
+    :func:`repro.api.run_request` uses this checker as a post-run gate
+    (reject-and-retry on corrupt solutions).
     """
     problems: List[str] = []
     cell_by_name = {cell.name: cell for cell in mapped.cells}

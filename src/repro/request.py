@@ -159,6 +159,14 @@ class MultilevelMode(str, Enum):
         return None
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_threshold(value: Any) -> Union[int, float]:
     """A replication threshold: a number, or ``"inf"``/``"infinity"``
     for the no-replication baseline (strict JSON has no infinity
@@ -168,7 +176,7 @@ def parse_threshold(value: Any) -> Union[int, float]:
         if value.lower() in ("inf", "infinity"):
             return float("inf")
         raise RequestError(f"threshold {value!r} is not a number or 'inf'")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise RequestError(f"threshold {value!r} is not a number or 'inf'")
     return value
 
@@ -278,8 +286,7 @@ class PartitionRequest:
                  f"verb {self.verb!r} not in {REQUEST_VERBS}")
         _require(isinstance(self.circuit, str) and bool(self.circuit),
                  "circuit must be a non-empty string")
-        _require(isinstance(self.seed, int) and not isinstance(self.seed, bool),
-                 f"seed {self.seed!r} is not an int")
+        _require(_is_int(self.seed), f"seed {self.seed!r} is not an int")
         # Normalize enum spellings so direct construction is as forgiving
         # as the shims (frozen dataclass: go through __setattr__ escape).
         object.__setattr__(self, "algorithm", Algorithm.coerce(self.algorithm))
@@ -294,6 +301,20 @@ class PartitionRequest:
             )
             threshold = verb_params["threshold"]
         object.__setattr__(self, "threshold", parse_threshold(threshold))
+        for name in ("runs", "n_solutions", "seeds_per_carve"):
+            value = getattr(self, name)
+            _require(_is_int(value) and value >= 1,
+                     f"{name}={value!r} must be an integer >= 1")
+        _require(
+            self.max_retries is None
+            or (_is_int(self.max_retries) and self.max_retries >= 0),
+            f"max_retries={self.max_retries!r} must be an integer >= 0 or null",
+        )
+        _require(
+            self.max_growth is None
+            or (_is_number(self.max_growth) and self.max_growth >= 0),
+            f"max_growth={self.max_growth!r} must be a number >= 0 or null",
+        )
         _require(
             self.trace_id is None
             or (isinstance(self.trace_id, str) and bool(self.trace_id)),

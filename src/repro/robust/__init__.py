@@ -7,11 +7,12 @@ fault-tolerant execution:
   (:class:`ReproError` and friends) every module of the library raises;
 * :mod:`repro.robust.budget` -- wall-clock :class:`Budget` objects the
   solvers poll cooperatively;
-* :mod:`repro.robust.runner` -- the :class:`ResilientRunner` that adds
-  deadlines, retry with seed perturbation, a graceful-degradation
-  cascade (``fm+functional -> fm+traditional -> fm``) and best-so-far
-  checkpointing on top of the raw flows, recording every decision in a
-  machine-readable :class:`RunLog`;
+* :mod:`repro.robust.runner` -- the attempt cascade every solve runs
+  (:func:`~repro.robust.runner.run_cascade`): deadlines, retry with seed
+  perturbation, a graceful-degradation cascade (``fm+functional ->
+  fm+traditional -> fm``) and best-so-far checkpointing on top of the
+  raw flows, recording every decision in a machine-readable
+  :class:`RunLog`;
 * :mod:`repro.robust.faults` -- a deterministic fault-injection harness
   used by the tests to prove every degradation path fires.
 
@@ -60,22 +61,12 @@ __all__ = [
     "install_spec",
     "maybe_fire",
     # lazily resolved from repro.robust.runner:
-    "ResilientRunner",
-    "RunnerConfig",
+    "run_cascade",
     "RunLog",
     "RunEvent",
-    "KWayRunResult",
-    "BipartitionRunResult",
 ]
 
-_RUNNER_EXPORTS = {
-    "ResilientRunner",
-    "RunnerConfig",
-    "RunLog",
-    "RunEvent",
-    "KWayRunResult",
-    "BipartitionRunResult",
-}
+_RUNNER_EXPORTS = {"run_cascade", "RunLog", "RunEvent"}
 
 
 def __getattr__(name: str):

@@ -14,8 +14,8 @@ when it expires:
   checkpoint instead.
 
 Budgets nest: :meth:`Budget.child` returns a sub-budget clamped to the
-parent's deadline, which is how the
-:class:`~repro.robust.runner.ResilientRunner` splits one overall
+parent's deadline, which is how the attempt cascade
+(:func:`~repro.robust.runner.run_cascade`) splits one overall
 deadline into exponentially sized per-attempt slices.  The clock is
 injectable for deterministic tests.
 

@@ -5,9 +5,9 @@ so callers can write ``except ReproError`` at the service boundary and
 know that anything else escaping is a genuine bug.  The taxonomy further
 distinguishes *retryable* failures (timeouts, rejected solutions, an
 infeasible carve that a different seed may avoid) from *fatal* ones (a
-malformed netlist, a nonsensical configuration), which is what
-:class:`repro.robust.runner.ResilientRunner` keys its retry/degradation
-decisions on.
+malformed netlist, a nonsensical configuration), which is what the
+attempt cascade (:func:`repro.robust.runner.run_cascade`) keys its
+retry/degradation decisions on.
 
 Compatibility: the pre-existing ad-hoc exceptions were plain
 ``ValueError``/``RuntimeError``; every re-parented class below keeps the
@@ -46,10 +46,11 @@ class InfeasibleError(ReproError, RuntimeError, ValueError):
 class BudgetExceededError(ReproError):
     """Every attempt failed and the wall-clock budget is exhausted.
 
-    Terminal: raised by :class:`~repro.robust.runner.ResilientRunner`
-    only when no verified best-so-far solution exists to return instead.
-    The runner attaches its :class:`~repro.robust.runner.RunLog` as
-    ``log`` so post-mortems can see every attempt that was made.
+    Terminal: raised by :func:`~repro.robust.runner.run_cascade` only
+    when no attempt produced a solution to return instead, chained to
+    the last attempt's exception.  The cascade attaches its
+    :class:`~repro.robust.runner.RunLog` as ``log`` so post-mortems can
+    see every attempt that was made.
     """
 
     def __init__(self, message: str, log: Optional[object] = None) -> None:
@@ -127,11 +128,11 @@ class VerificationError(ReproError):
         self.circuit = circuit
 
 
-#: Exception classes the runner treats as retryable with a new seed or a
+#: Exception classes the cascade treats as retryable with a new seed or a
 #: degraded engine (anything else non-Repro is retried too, but logged as
 #: an unclassified error).
 RETRYABLE = (InfeasibleError, SolverTimeoutError, VerificationError)
 
-#: Exception classes the runner refuses to retry: the input or the
+#: Exception classes the cascade refuses to retry: the input or the
 #: configuration is wrong and no amount of re-running will change that.
 FATAL = (ConfigError, ParseError, DeltaError)

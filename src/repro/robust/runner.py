@@ -1,28 +1,34 @@
-"""Budgeted, fault-tolerant orchestration of the partitioning flows.
+"""The attempt cascade behind every solve.
 
-:class:`ResilientRunner` turns the raw solvers into a restartable,
-deadline-aware search, the way production partitioners treat their
-engines:
+:func:`run_cascade` is the one solve loop of :func:`repro.api.run_request`,
+for both verbs and every request.  The verb supplies its *attempt* -- the
+plain solver call for one engine, seed and budget -- and the cascade turns
+it into a restartable, deadline-aware search:
 
+* **the first attempt is the plain call** -- the requested engine, the
+  request's own seed and, without a deadline, no budget beyond
+  :func:`~repro.robust.budget.ambient_budget`.  A request that sets none
+  of ``deadline`` / ``max_retries`` / ``fallback`` gets exactly that one
+  attempt;
 * **deadlines** -- one overall wall-clock budget, split into
   exponentially sized per-attempt slices (early attempts are cheap
-  probes, the final attempt on each rung gets everything left), each
-  threaded into the solver as a graceful
-  :class:`~repro.robust.budget.Budget` so a timed-out attempt still
-  returns a structurally valid best-so-far solution;
-* **retry with seed perturbation** -- every attempt derives a fresh
-  seed, so a crash or a rejected solution is retried on a different
-  random trajectory;
+  probes, the final attempt gets everything left), each threaded into
+  the solver as a graceful :class:`~repro.robust.budget.Budget` so a
+  timed-out attempt still returns a structurally valid best-so-far
+  solution;
+* **retry with seed perturbation** -- every later attempt derives a
+  fresh seed, so a crash or a rejected solution is retried on a
+  different random trajectory;
 * **graceful degradation** -- on repeated failure the engine cascade
-  steps down ``fm+functional -> fm+traditional -> fm`` while relaxing
-  the carve bounds (extra low fill bands, more candidate devices);
-* **best-so-far checkpointing** -- every verified solution is ranked
-  and kept; when the budget runs out the best checkpoint is returned
-  instead of raising.  Only when *no* verified solution exists does the
-  runner raise :class:`~repro.robust.errors.BudgetExceededError`;
-* **verification gate** -- each k-way solution is re-derived from first
-  principles by :func:`repro.partition.verify.verify_solution`; corrupt
-  solutions are rejected and retried.
+  steps down ``fm+functional -> fm+traditional -> fm``; the k-way
+  attempt relaxes its carve bounds on the lower rungs
+  (:func:`relaxed_carve`);
+* **best-so-far checkpointing** -- every solution an attempt returns is
+  ranked and kept; the cascade stops at the first ``ok`` attempt, and
+  when the budget runs out the best checkpoint is returned instead.
+  Only when *no* attempt produced a solution does it raise
+  :class:`~repro.robust.errors.BudgetExceededError`, chained to the last
+  attempt's exception.
 
 Every decision is recorded in a machine-readable :class:`RunLog`.
 """
@@ -31,16 +37,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.flow import ALGORITHM_STYLE, bipartition_experiment
-from repro.core.results import BipartitionReport
+from repro.core.flow import ALGORITHM_STYLE
 from repro.obs.metrics import get_registry
-from repro.partition.devices import DeviceLibrary, XC3000_LIBRARY
-from repro.partition.kway import KWayConfig, KWaySolution, partition_heterogeneous
-from repro.partition.verify import verify_solution
-from repro.robust.budget import Budget
+from repro.robust.budget import Budget, ambient_budget
 from repro.robust.errors import (
     BudgetExceededError,
     ConfigError,
@@ -48,15 +50,23 @@ from repro.robust.errors import (
     SolverTimeoutError,
     VerificationError,
 )
-from repro.techmap.mapped import MappedNetlist
 
 #: Degradation cascade, strongest engine first (paper's contribution
 #: down to the plain [15] baseline).
 ENGINE_LADDER: Tuple[str, ...] = tuple(ALGORITHM_STYLE)
 
+#: ``max_retries`` of a request that sets another resilience field but
+#: not this one.
+DEFAULT_MAX_RETRIES = 2
+
 #: Cap on the exponential split: no attempt slice is smaller than
 #: remaining / 2**_MAX_SPLIT_EXP.
 _MAX_SPLIT_EXP = 4
+
+#: A verb's attempt: ``(engine, rung, seed, budget) -> (solution, rank)``.
+#: ``rank`` orders checkpoints, lowest first: ``(truncated, infeasible,
+#: *objective)``.  Its first two entries also name the attempt's outcome.
+Attempt = Callable[[str, int, int, Optional[Budget]], Tuple[Any, Tuple[Any, ...]]]
 
 
 def engine_cascade(engine: str, fallback: bool = True) -> List[str]:
@@ -70,6 +80,17 @@ def engine_cascade(engine: str, fallback: bool = True) -> List[str]:
     return list(ENGINE_LADDER[ENGINE_LADDER.index(engine):])
 
 
+def relaxed_carve(
+    rung: int, fill_levels: Tuple[float, ...], devices_per_carve: int
+) -> Tuple[Tuple[float, ...], int]:
+    """The k-way carve bounds on cascade rung ``rung``: lower rungs add
+    low fill bands and widen the device candidates."""
+    if rung == 0:
+        return fill_levels, devices_per_carve
+    extra = (0.15,) if rung == 1 else (0.15, 0.10)
+    return fill_levels + extra, devices_per_carve + rung
+
+
 # ---------------------------------------------------------------------------
 # Machine-readable run log
 # ---------------------------------------------------------------------------
@@ -79,7 +100,7 @@ def engine_cascade(engine: str, fallback: bool = True) -> List[str]:
 class RunEvent:
     """One orchestration decision or attempt outcome."""
 
-    kind: str  # "attempt" | "degrade" | "relax" | "checkpoint" | "give-up"
+    kind: str  # "attempt" | "degrade" | "checkpoint" | "give-up"
     engine: str = ""
     attempt: int = -1
     seed: int = -1
@@ -103,7 +124,7 @@ class RunEvent:
 
 @dataclass
 class RunLog:
-    """Ordered record of everything a resilient run decided and saw."""
+    """Ordered record of everything a cascade decided and saw."""
 
     events: List[RunEvent] = field(default_factory=list)
 
@@ -163,345 +184,134 @@ class RunLog:
             ],
         }
 
+    @classmethod
+    def from_record(cls, record: Dict[str, Any]) -> "RunLog":
+        """The log back from :meth:`as_record`, as far as the record holds
+        it: attempts and degradations, without timings or checkpoints."""
+        events = [RunEvent(kind="attempt", **a) for a in record["attempts"]]
+        degraded = record["summary"]["degradations"]
+        return cls(events + [RunEvent(kind="degrade", engine=e) for e in degraded])
+
 
 # ---------------------------------------------------------------------------
-# Runner configuration and results
+# The cascade
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunnerConfig:
-    """Knobs for :class:`ResilientRunner`.
+def _attempt_seconds(total: Budget, attempts_left: int) -> Optional[float]:
+    """Exponential budget split: probe cheap, spend big at the end."""
+    remaining = total.remaining()
+    if math.isinf(remaining):
+        return None
+    if attempts_left <= 1:
+        return remaining
+    return remaining / (2 ** min(attempts_left - 1, _MAX_SPLIT_EXP))
 
-    ``deadline`` is the overall wall-clock budget in seconds (``None`` =
-    unlimited); ``max_retries`` is the number of *extra* attempts per
-    engine rung after the first; ``fallback`` enables the degradation
-    cascade.  ``clock`` is injectable for deterministic tests.  Every
-    k-way solution passes the independent checker, and carve bounds
-    loosen as the cascade degrades.
+
+def _classify(exc: Exception) -> str:
+    if isinstance(exc, SolverTimeoutError):
+        return "timeout"
+    if isinstance(exc, VerificationError):
+        return "rejected"
+    return "error"
+
+
+def run_cascade(
+    attempt: Attempt,
+    *,
+    engine: str,
+    seed: int,
+    deadline: Optional[float] = None,
+    max_retries: Optional[int] = None,
+    fallback: Optional[bool] = None,
+) -> Tuple[Any, RunLog]:
+    """Run ``attempt`` down the cascade; returns ``(solution, log)``.
+
+    ``deadline`` / ``max_retries`` / ``fallback`` are a request's
+    resilience fields, resolved here and nowhere else: with none set the
+    cascade is one attempt on ``engine`` with no deadline; with any set
+    the unset ones default to :data:`DEFAULT_MAX_RETRIES` retries per
+    rung and the fallback ladder on.  Attempt 1 runs ``engine`` at
+    ``seed``; retries, reseeding and degradation start only after an
+    attempt raises or returns a solution that is not ``ok``.  The first
+    ``ok`` solution is returned; otherwise the best checkpoint once the
+    deadline expires or the attempts run out.  :data:`FATAL` errors
+    propagate unchanged; when no attempt returned a solution,
+    :class:`BudgetExceededError` is raised from the last attempt's
+    exception and names it.
     """
-
-    deadline: Optional[float] = None
-    max_retries: int = 2
-    fallback: bool = True
-    clock: Callable[[], float] = time.monotonic
-
-
-@dataclass
-class KWayRunResult:
-    """Best verified k-way solution plus the full orchestration log."""
-
-    solution: KWaySolution
-    log: RunLog
-    engine: str  # engine that produced the winning solution
-    elapsed: float
-
-    @property
-    def degraded(self) -> bool:
-        """True when the winning engine is weaker than the one requested."""
-        return bool(self.log.degradations()) and self.engine != (
-            self.log.attempts()[0].engine if self.log.attempts() else self.engine
-        )
-
-
-@dataclass
-class BipartitionRunResult:
-    """Bipartition report plus the orchestration log."""
-
-    report: BipartitionReport
-    log: RunLog
-    engine: str
-    elapsed: float
-
-
-# ---------------------------------------------------------------------------
-# The runner
-# ---------------------------------------------------------------------------
-
-
-class ResilientRunner:
-    """Deadline/retry/degradation wrapper over the partitioning flows.
-
-    Construct with a :class:`RunnerConfig` or keyword shortcuts::
-
-        runner = ResilientRunner(deadline=5.0, max_retries=2)
-        result = runner.kway(mapped, threshold=1)
-        result.solution, result.log
-    """
-
-    def __init__(self, config: Optional[RunnerConfig] = None, **overrides: object) -> None:
-        if config is not None and overrides:
-            raise ConfigError("pass either a RunnerConfig or keyword overrides")
-        self.config = config or RunnerConfig(**overrides)  # type: ignore[arg-type]
-        if self.config.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-
-    # -- internals ------------------------------------------------------
-    def _attempt_seconds(
-        self, total: Budget, attempts_left: int
-    ) -> Optional[float]:
-        """Exponential budget split: probe cheap, spend big at the end."""
-        remaining = total.remaining()
-        if math.isinf(remaining):
-            return None
-        if attempts_left <= 1:
-            return remaining
-        return remaining / (2 ** min(attempts_left - 1, _MAX_SPLIT_EXP))
-
-    @staticmethod
-    def _solution_key(sol: KWaySolution) -> Tuple:
-        """Checkpoint ranking: complete beats truncated, feasible beats
-        infeasible, then the paper's lexicographic objective."""
-        return (sol.truncated, not sol.feasible) + sol.cost.objective_key()
-
-    @staticmethod
-    def _classify(exc: Exception) -> str:
-        if isinstance(exc, SolverTimeoutError):
-            return "timeout"
-        if isinstance(exc, VerificationError):
-            return "rejected"
-        return "error"
-
-    def _relaxed_kway(
-        self, base: KWayConfig, rung: int
-    ) -> KWayConfig:
-        """Carve-bound relaxation applied as the cascade degrades."""
-        if rung == 0:
-            return base
-        extra = (0.15,) if rung == 1 else (0.15, 0.10)
-        return replace(
-            base,
-            carve_fill_levels=base.carve_fill_levels + extra,
-            devices_per_carve=base.devices_per_carve + rung,
-        )
-
-    # -- k-way ----------------------------------------------------------
-    def kway(
-        self,
-        mapped: MappedNetlist,
-        threshold: float = 1,
-        library: Optional[DeviceLibrary] = None,
-        algorithm: str = "fm+functional",
-        seed: int = 0,
-        seeds_per_carve: int = 3,
-        devices_per_carve: int = 3,
-        max_passes: int = 12,
-        jobs: int = 1,
-        multilevel: Optional[bool] = None,
-    ) -> KWayRunResult:
-        """Resilient heterogeneous k-way partitioning.
-
-        Returns the best verified solution found within the deadline (a
-        truncated best-so-far one if the budget expired mid-search) and
-        the :class:`RunLog`; raises
-        :class:`~repro.robust.errors.BudgetExceededError` only when
-        every attempt failed and no checkpoint exists.
-        """
-        cfg = self.config
-        total = Budget(cfg.deadline, clock=cfg.clock)
-        log = RunLog()
-        cascade = engine_cascade(algorithm, cfg.fallback)
-        attempts_per_rung = 1 + cfg.max_retries
-        planned = attempts_per_rung * len(cascade)
-        done = 0
-
-        best: Optional[KWaySolution] = None
-        best_engine = ""
-        library = library or XC3000_LIBRARY
-
-        for rung, rung_engine in enumerate(cascade):
-            if rung > 0:
-                log.record(
-                    RunEvent(
-                        kind="degrade",
-                        engine=rung_engine,
-                        elapsed=total.elapsed(),
-                        detail=f"stepping down from {cascade[rung - 1]}",
-                    )
-                )
-                log.record(
-                    RunEvent(
-                        kind="relax",
-                        engine=rung_engine,
-                        elapsed=total.elapsed(),
-                        detail="extending carve fill bands, widening device candidates",
-                    )
-                )
-            for attempt in range(attempts_per_rung):
-                if total.expired and best is not None:
-                    return self._kway_result(best, best_engine, log, total)
-                allot = self._attempt_seconds(total, planned - done)
-                done += 1
-                run_seed = seed * 9973 + rung * 7919 + attempt * 104729 + 1
-                attempt_budget = total.child(allot, graceful=True)
-                kcfg = self._relaxed_kway(
-                    KWayConfig(
-                        library=library,
-                        threshold=threshold,
-                        style=ALGORITHM_STYLE[rung_engine],
-                        seed=run_seed,
-                        seeds_per_carve=seeds_per_carve,
-                        devices_per_carve=devices_per_carve,
-                        max_passes=max_passes,
-                        budget=attempt_budget,
-                        jobs=jobs,
-                        multilevel=multilevel,
-                    ),
-                    rung,
-                )
-                event = RunEvent(
-                    kind="attempt",
-                    engine=rung_engine,
-                    attempt=done,
-                    seed=run_seed,
-                    allotted=float("inf") if allot is None else allot,
-                )
-                started = cfg.clock()
-                try:
-                    sol = partition_heterogeneous(mapped, kcfg)
-                    verify_solution(mapped, sol, raise_on_violation=True)
-                except FATAL:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - logged and retried
-                    event.elapsed = cfg.clock() - started
-                    event.outcome = self._classify(exc)
-                    event.detail = f"{type(exc).__name__}: {exc}"
-                    log.record(event)
-                    continue
-                event.elapsed = cfg.clock() - started
-                if sol.truncated:
-                    event.outcome = "truncated"
-                elif not sol.feasible:
-                    event.outcome = "infeasible"
-                else:
-                    event.outcome = "ok"
-                log.record(event)
-
-                if best is None or self._solution_key(sol) < self._solution_key(best):
-                    best, best_engine = sol, rung_engine
-                    log.record(
-                        RunEvent(
-                            kind="checkpoint",
-                            engine=rung_engine,
-                            seed=run_seed,
-                            elapsed=total.elapsed(),
-                            outcome=event.outcome,
-                            detail=f"cost={sol.cost.total_cost:.0f} k={sol.k}",
-                        )
-                    )
-                if event.outcome == "ok":
-                    return self._kway_result(best, best_engine, log, total)
-
-        if best is not None:
-            return self._kway_result(best, best_engine, log, total)
-        log.record(
-            RunEvent(kind="give-up", elapsed=total.elapsed(), outcome="failed")
-        )
-        raise BudgetExceededError(
-            f"all {done} attempt(s) across {len(cascade)} engine(s) failed "
-            f"within {total.elapsed():.3f}s; no verified solution to return",
-            log=log,
-        )
-
-    def _kway_result(
-        self,
-        best: KWaySolution,
-        best_engine: str,
-        log: RunLog,
-        total: Budget,
-    ) -> KWayRunResult:
-        return KWayRunResult(
-            solution=best, log=log, engine=best_engine, elapsed=total.elapsed()
-        )
-
-    # -- bipartition ----------------------------------------------------
-    def bipartition(
-        self,
-        mapped: MappedNetlist,
-        algorithm: str = "fm+functional",
-        runs: int = 20,
-        threshold: float = 0,
-        seed: int = 0,
-        balance_tolerance: float = 0.02,
-        max_passes: int = 16,
-        max_growth: Optional[float] = None,
-        jobs: int = 1,
-        multilevel: Optional[bool] = None,
-    ) -> BipartitionRunResult:
-        """Resilient experiment-1 bipartitioning.
-
-        The budget is threaded into every inner FM run (a timed-out
-        experiment reports the runs it completed); crashes are retried
-        with perturbed seeds and degraded down the engine cascade.
-        """
-        cfg = self.config
-        total = Budget(cfg.deadline, clock=cfg.clock)
-        log = RunLog()
-        cascade = engine_cascade(algorithm, cfg.fallback)
-        attempts_per_rung = 1 + cfg.max_retries
-        planned = attempts_per_rung * len(cascade)
-        done = 0
-
-        for rung, rung_engine in enumerate(cascade):
-            if rung > 0:
-                log.record(
-                    RunEvent(
-                        kind="degrade",
-                        engine=rung_engine,
-                        elapsed=total.elapsed(),
-                        detail=f"stepping down from {cascade[rung - 1]}",
-                    )
-                )
-            for attempt in range(attempts_per_rung):
-                allot = self._attempt_seconds(total, planned - done)
-                done += 1
-                run_seed = seed * 9973 + rung * 7919 + attempt * 104729 + 1
-                event = RunEvent(
-                    kind="attempt",
-                    engine=rung_engine,
-                    attempt=done,
-                    seed=run_seed,
-                    allotted=float("inf") if allot is None else allot,
-                )
-                started = cfg.clock()
-                try:
-                    report = bipartition_experiment(
-                        mapped,
-                        algorithm=rung_engine,
-                        runs=runs,
-                        threshold=threshold,
-                        seed=run_seed,
-                        balance_tolerance=balance_tolerance,
-                        max_passes=max_passes,
-                        max_growth=max_growth,
-                        budget=total.child(allot, graceful=True),
-                        jobs=jobs,
-                        multilevel=multilevel,
-                    )
-                except FATAL:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - logged and retried
-                    event.elapsed = cfg.clock() - started
-                    event.outcome = self._classify(exc)
-                    event.detail = f"{type(exc).__name__}: {exc}"
-                    log.record(event)
-                    continue
-                event.elapsed = cfg.clock() - started
-                event.outcome = "ok" if report.runs == runs else "truncated"
-                event.detail = f"runs={report.runs} best_cut={report.best_cut}"
-                log.record(event)
-                return BipartitionRunResult(
-                    report=report,
-                    log=log,
+    if deadline is None and max_retries is None and fallback is None:
+        retries, ladder = 0, False
+    else:
+        retries = DEFAULT_MAX_RETRIES if max_retries is None else max_retries
+        ladder = fallback is not False
+    cascade = engine_cascade(engine, ladder)
+    plan = [(rung, name, retry) for rung, name in enumerate(cascade)
+            for retry in range(1 + retries)]
+    total = Budget(deadline)
+    log = RunLog()
+    best: Any = None
+    best_rank: Tuple[Any, ...] = ()
+    error: Optional[Exception] = None
+    for done, (rung, rung_engine, retry) in enumerate(plan, 1):
+        if best is not None and total.expired:
+            break
+        if rung and not retry:
+            log.record(
+                RunEvent(
+                    kind="degrade",
                     engine=rung_engine,
                     elapsed=total.elapsed(),
+                    detail=f"stepping down from {cascade[rung - 1]}",
                 )
-
-        log.record(
-            RunEvent(kind="give-up", elapsed=total.elapsed(), outcome="failed")
+            )
+        allot = _attempt_seconds(total, len(plan) - done + 1)
+        run_seed = (
+            seed if done == 1 else seed * 9973 + rung * 7919 + retry * 104729 + 1
         )
-        raise BudgetExceededError(
-            f"all {done} bipartition attempt(s) failed within "
-            f"{total.elapsed():.3f}s",
-            log=log,
+        event = RunEvent(
+            kind="attempt",
+            engine=rung_engine,
+            attempt=done,
+            seed=run_seed,
+            allotted=float("inf") if allot is None else allot,
         )
+        budget = ambient_budget() if deadline is None else total.child(allot)
+        started = time.monotonic()
+        try:
+            solution, rank = attempt(rung_engine, rung, run_seed, budget)
+        except FATAL:
+            raise
+        except Exception as exc:  # noqa: BLE001 - logged and retried
+            event.elapsed = time.monotonic() - started
+            event.outcome = _classify(exc)
+            event.detail = f"{type(exc).__name__}: {exc}"
+            log.record(event)
+            error = exc
+            continue
+        event.elapsed = time.monotonic() - started
+        event.outcome = "truncated" if rank[0] else "infeasible" if rank[1] else "ok"
+        event.detail = f"objective={rank[2:]}"
+        log.record(event)
+        if best is None or rank < best_rank:
+            best, best_rank = solution, rank
+            log.record(
+                RunEvent(
+                    kind="checkpoint",
+                    engine=rung_engine,
+                    seed=run_seed,
+                    elapsed=total.elapsed(),
+                    outcome=event.outcome,
+                    detail=event.detail,
+                )
+            )
+        if event.outcome == "ok":
+            break
+    if best is not None:
+        return best, log
+    log.record(RunEvent(kind="give-up", elapsed=total.elapsed(), outcome="failed"))
+    raise BudgetExceededError(
+        f"all {len(plan)} attempt(s) across {len(cascade)} engine(s) failed "
+        f"within {total.elapsed():.3f}s; last: {type(error).__name__}: {error}",
+        log=log,
+    ) from error

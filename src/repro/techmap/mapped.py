@@ -126,7 +126,9 @@ class MappedNetlist:
         sinks = self.net_sinks()
         po_set = set(self.primary_outputs)
         result: Dict[str, Dict[str, object]] = {}
-        for net in set(sinks) | po_set:
+        # Read nets first, then reader-less POs, each in declaration
+        # order: net numbering downstream must not depend on set order.
+        for net in [*sinks, *(po for po in self.primary_outputs if po not in sinks)]:
             drv = self._cell_of_output.get(net)
             driver = ("cell", drv[0], drv[1]) if drv else ("pi", net)
             result[net] = {

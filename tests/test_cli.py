@@ -28,6 +28,19 @@ def test_unknown_circuit_rejected():
         main(["stats", "c17"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bipartition", "s5378", "--runs", "0"],
+        ["partition", "s5378", "--solutions", "0"],
+        ["partition", "s5378", "--max-retries", "-1"],
+    ],
+)
+def test_out_of_range_solver_flags_exit_before_solving(argv):
+    with pytest.raises(SystemExit, match=r"runs|n_solutions|max_retries"):
+        main(argv)
+
+
 def test_map_command(capsys):
     assert main(["map", "c6288", "--scale", "0.15", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -13,6 +13,8 @@ from repro.partition.fm_replication import (
     ReplicationEngine,
     replication_bipartition,
 )
+from repro.partition.multilevel import MultilevelConfig
+from repro.robust.errors import ConfigError
 
 
 def _recount(engine):
@@ -222,6 +224,14 @@ class TestConfigValidation:
         config = ReplicationConfig(seed=1, threshold=0, max_growth=0.0)
         result = replication_bipartition(small_hg, config)
         assert result.n_replicated == 0
+
+    def test_negative_growth_cap_rejected(self):
+        """The fast and reference engines read a negative cap
+        differently, so neither gets one."""
+        with pytest.raises(ConfigError, match="max_growth"):
+            ReplicationConfig(max_growth=-0.2)
+        with pytest.raises(ConfigError, match="max_growth"):
+            MultilevelConfig(max_growth=-0.2)
 
     def test_warm_start_disabled_still_valid(self, small_hg):
         config = ReplicationConfig(

@@ -168,6 +168,23 @@ class TestApiFrontDoor:
             replay.to_dict()["solution"], sort_keys=True
         ) == json.dumps(warm.to_dict()["solution"], sort_keys=True)
 
+    def test_delta_request_with_a_deadline_still_warm_starts(
+        self, eco_mapped, store, base_request
+    ):
+        """Resilience fields do not send a delta request to a cold solve:
+        the repair runs first, and only a declined one reaches the
+        attempt cascade."""
+        delta = seeded_delta(eco_mapped, fraction=0.01, seed=0)
+        with use_cache(store):
+            api.run_request(base_request, circuit=eco_mapped, cache="use")
+            warm = api.run_request(
+                self._eco_request(delta, deadline=1e6, max_retries=1),
+                circuit=eco_mapped,
+                cache="use",
+            )
+        assert warm.cache_info["warm"]["mode"] == "warm"
+        assert warm.run_log is None
+
     def test_warm_start_off_forces_a_cold_solve(
         self, eco_mapped, store, base_request
     ):

@@ -1,6 +1,9 @@
 """Tests for the mapped netlist and the end-to-end technology mapping."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -119,6 +122,37 @@ class TestMappedStructure:
             kind = info["driver"][0]
             assert kind in ("pi", "cell")
             assert info["sinks"] or info["is_po"]
+
+    def test_nets_in_declaration_order(self, tiny_netlist):
+        """Read nets first, then reader-less POs, both in declaration
+        order: hypergraph net numbering must not follow set order."""
+        mapped = technology_map(tiny_netlist)
+        read = list(mapped.net_sinks())
+        unread = [po for po in mapped.primary_outputs if po not in read]
+        assert list(mapped.nets()) == read + unread
+
+    def test_vcycle_cuts_do_not_depend_on_the_hash_seed(self):
+        """The V-cycle bipartition gives the same cuts in every process,
+        whatever its ``PYTHONHASHSEED``."""
+        import repro
+
+        code = (
+            "from repro.core.flow import bipartition_experiment, map_circuit\n"
+            "mapped = map_circuit('s5378', scale=0.25, seed=1994)\n"
+            "print(bipartition_experiment(mapped, runs=2, multilevel=True).cuts)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        cuts = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+                check=True,
+            ).stdout.strip()
+            for hash_seed in ("1", "2", "3")
+        }
+        assert len(cuts) == 1, cuts
 
     def test_duplicate_driver_rejected(self):
         cells = [

@@ -294,16 +294,19 @@ def test_kway_metrics_and_equivalence(small_mapped):
 
 
 def test_runner_events_mirrored_into_registry(small_mapped):
-    from repro.robust.runner import ResilientRunner
+    from repro import api
+    from repro.request import build_request
 
     reg = MetricsRegistry(enabled=True, emitter=ListEmitter())
     with use_registry(reg):
-        result = ResilientRunner(max_retries=1).kway(
-            small_mapped, threshold=1, seed=2
+        result = api.run_request(
+            build_request("partition", small_mapped.name, threshold=1, seed=2,
+                          max_retries=1),
+            circuit=small_mapped,
         )
     assert result.solution.feasible
     counters = reg.snapshot()["counters"]
-    assert counters["runner.attempt"] == len(result.log.attempts())
+    assert counters["runner.attempt"] == len(result.run_log.attempts())
     attempt_events = [
         e for e in reg.emitter.events if e.get("name") == "runner.attempt"
     ]

@@ -142,11 +142,12 @@ def test_api_facade_quickstart():
     assert result.kind == "partition"
     assert result.schema_version == api.SCHEMA_VERSION
     assert result.solution.cost.total_cost > 0
-    assert result.run_log is None and result.metrics == {}
+    assert result.run_log.outcomes() == ["ok"] and result.metrics == {}
 
+    # A deadline that never binds returns the same solution document.
     resilient = api.run_request(replace(request, deadline=60))
-    assert resilient.run_log is not None
-    assert resilient.solution.cost.total_cost == result.solution.cost.total_cost
+    assert resilient.run_log.outcomes() == ["ok"]
+    assert resilient.to_dict()["solution"] == result.to_dict()["solution"]
 
 
 def test_readme_quickstart_runs():

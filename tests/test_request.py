@@ -108,6 +108,39 @@ def test_request_validation():
         build_request("partition", CIRCUIT, nonsense_knob=3)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("runs", 0),
+        ("n_solutions", 0),
+        ("seeds_per_carve", 0),
+        ("runs", -3),
+        ("n_solutions", True),
+        ("max_retries", -1),
+        ("max_growth", -0.2),
+    ],
+)
+def test_out_of_range_fields_are_rejected(field, value):
+    """Each would otherwise fail late or silently: an empty report whose
+    ``best_cut`` raises, a misleading infeasible carve, a solve under a
+    key of its own, a queued job that fails at execution, or engines
+    that disagree on a negative growth cap."""
+    with pytest.raises(RequestError, match=field):
+        build_request("bipartition", CIRCUIT, **{field: value})
+    doc = quick_partition_request().to_dict()
+    doc[field] = value
+    with pytest.raises(RequestError, match=field):
+        PartitionRequest.from_dict(doc)
+
+
+def test_range_limits_themselves_are_accepted():
+    request = build_request(
+        "partition", CIRCUIT, runs=1, n_solutions=1, seeds_per_carve=1,
+        max_retries=0, max_growth=0.0,
+    )
+    assert (request.runs, request.max_retries, request.max_growth) == (1, 0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Cache-key / ledger identity
 # ---------------------------------------------------------------------------
@@ -250,6 +283,10 @@ def test_manifest_bad_params_surface_as_manifest_error():
     manifest = _manifest()
     manifest["jobs"][0]["threshold"] = "sideways"
     with pytest.raises(ManifestError):
+        expand_manifest(manifest)
+    manifest = _manifest()
+    manifest["jobs"][0]["n_solutions"] = 0
+    with pytest.raises(ManifestError, match="n_solutions"):
         expand_manifest(manifest)
 
 

@@ -225,6 +225,11 @@ def test_error_paths(served):
     with pytest.raises(ServiceError) as excinfo:
         client._request("POST", "/v1/jobs", body={"request": {"verb": "nope"}})
     assert excinfo.value.status == 400
+    # Out-of-range fields are refused at submit, not at execution.
+    with pytest.raises(ServiceError) as excinfo:
+        client._request("POST", "/v1/jobs", body={"request": {
+            "verb": "bipartition", "circuit": "s5378", "runs": 0}})
+    assert excinfo.value.status == 400
     with pytest.raises(ServiceError) as excinfo:
         client._request("PATCH", "/v1/jobs")
     assert excinfo.value.status == 405
