@@ -8,7 +8,8 @@ better (cost, interconnect) objectives at proportionally higher CPU.
 import time
 
 from benchmarks.conftest import run_once
-from repro.core.flow import kway_experiment
+from repro.core.flow import kway_solution
+from repro.core.results import kway_report_from_solution
 from repro.experiments.common import load_suite
 
 
@@ -20,10 +21,11 @@ def test_bench_carve_effort(benchmark, scale):
         results = {}
         for seeds in (1, 3):
             start = time.perf_counter()
-            report = kway_experiment(
+            solution = kway_solution(
                 mapped, threshold=1, n_solutions=1, seeds_per_carve=seeds, seed=2
             )
-            results[seeds] = (report, time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+            results[seeds] = (kway_report_from_solution(solution, 1, elapsed), elapsed)
         return results
 
     results = run_once(benchmark, compute)

@@ -9,17 +9,13 @@ from benchmarks.conftest import run_once
 from repro.experiments import tables4to7
 
 
-def test_bench_table4(benchmark, circuits, scale):
-    def compute():
-        data = tables4to7.sweep(circuits, scale, n_solutions=1, seeds_per_carve=2, devices_per_carve=2)
-        return tables4to7.table4(data, scale), data
-
-    result, data = run_once(benchmark, compute)
+def test_bench_table4(benchmark, kway_sweep, scale):
+    result = run_once(benchmark, lambda: tables4to7.table4(kway_sweep, scale))
     avg_row = result.rows[-1]
     for pct in avg_row[1:-2]:
         assert 0.0 <= pct <= 30.0  # moderate replication on average
     # No-replication baseline really replicates nothing.
-    for name in {n for n, _ in data}:
-        assert data[(name, tables4to7.INF)].replicated_fraction == 0.0
+    for name in {n for n, _ in kway_sweep}:
+        assert kway_sweep[(name, tables4to7.INF)].replicated_fraction == 0.0
     print()
     print(result.text())

@@ -9,12 +9,8 @@ from benchmarks.conftest import run_once
 from repro.experiments import tables4to7
 
 
-def test_bench_table5(benchmark, circuits, scale):
-    def compute():
-        data = tables4to7.sweep(circuits, scale, n_solutions=1, seeds_per_carve=2, devices_per_carve=2)
-        return tables4to7.table5(data, scale)
-
-    result = run_once(benchmark, compute)
+def test_bench_table5(benchmark, kway_sweep, scale):
+    result = run_once(benchmark, lambda: tables4to7.table5(kway_sweep, scale))
     avg_row = result.rows[-1]
     base = avg_row[1]
     assert 0.0 < base <= 100.0

@@ -9,12 +9,8 @@ from benchmarks.conftest import run_once
 from repro.experiments import tables4to7
 
 
-def test_bench_table6(benchmark, circuits, scale):
-    def compute():
-        data = tables4to7.sweep(circuits, scale, n_solutions=1, seeds_per_carve=2, devices_per_carve=2)
-        return tables4to7.table6(data, scale)
-
-    result = run_once(benchmark, compute)
+def test_bench_table6(benchmark, kway_sweep, scale):
+    result = run_once(benchmark, lambda: tables4to7.table6(kway_sweep, scale))
     for row in result.rows[:-1]:
         base = row[1]
         costs = [row[2], row[4], row[6]]

@@ -7,9 +7,11 @@ variables to reproduce at larger sizes::
 
     REPRO_BENCH_SCALE=1.0 REPRO_BENCH_CIRCUITS=all pytest benchmarks/ --benchmark-only
 
-(the EXPERIMENTS.md record was produced by the standalone experiment CLIs,
-e.g. ``python -m repro.experiments.table3 --scale 0.5``, which print the
-full tables).
+Tables III-VII run as batches through the solution cache; the session
+installs a temporary store, so a bench run neither reads nor fills
+``results/cache``.  The Tables IV-VII benches share one sweep
+(:func:`kway_sweep`).  The EXPERIMENTS.md record is produced by
+``python -m repro.experiments.record``, which prints the full tables.
 """
 
 from __future__ import annotations
@@ -47,6 +49,24 @@ def scale() -> float:
 @pytest.fixture(scope="session")
 def circuits() -> Tuple[str, ...]:
     return bench_circuits()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def temp_cache(tmp_path_factory):
+    from repro.cache.store import SolutionCache, use_cache
+
+    with use_cache(SolutionCache(str(tmp_path_factory.mktemp("cache")))) as store:
+        yield store
+
+
+@pytest.fixture(scope="session")
+def kway_sweep(circuits, scale):
+    """The Tables IV-VII sweep at quick fidelity, run once per session."""
+    from repro.experiments import tables4to7
+
+    return tables4to7.sweep(
+        circuits, scale, n_solutions=1, seeds_per_carve=2, devices_per_carve=2
+    )
 
 
 @pytest.fixture(scope="session")

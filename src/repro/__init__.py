@@ -73,7 +73,6 @@ from repro.partition.kway import (
 )
 from repro.core.flow import (
     bipartition_experiment,
-    kway_experiment,
     map_circuit,
 )
 from repro.robust import (
@@ -144,7 +143,6 @@ __all__ = [
     "best_heterogeneous_partition",
     "partition_heterogeneous",
     "bipartition_experiment",
-    "kway_experiment",
     "map_circuit",
     "Budget",
     "ReproError",

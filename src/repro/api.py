@@ -120,7 +120,8 @@ class RunResult:
 
     @property
     def ok(self) -> bool:
-        """True unless the solution itself reports a failure state."""
+        """True unless the solution reports itself infeasible or truncated
+        (a k-way solution or a bipartition report cut short)."""
         feasible = getattr(self.solution, "feasible", True)
         truncated = getattr(self.solution, "truncated", False)
         return bool(feasible) and not truncated
@@ -346,14 +347,6 @@ def _try_warm_solve(
     return solution, info
 
 
-def _truncated(request: PartitionRequest, solution: Any) -> bool:
-    """Whether a deadline cut ``solution`` short: a truncated k-way
-    solution, or a bipartition report with fewer runs than requested."""
-    if request.verb == "bipartition":
-        return solution.runs < request.runs
-    return bool(solution.truncated)
-
-
 def _solve(
     request: PartitionRequest,
     mapped: MappedNetlist,
@@ -386,7 +379,7 @@ def _solve(
                 jobs=n_jobs,
                 multilevel=use_ml,
             )
-            return report, (_truncated(request, report), False, report.best_cut)
+            return report, (report.truncated, False, report.best_cut)
 
     else:
 
@@ -409,7 +402,7 @@ def _solve(
                 carve_fill_levels=fill_levels,
             )
             verify_solution(mapped, solution, raise_on_violation=True)
-            rank = (_truncated(request, solution), not solution.feasible)
+            rank = (solution.truncated, not solution.feasible)
             return solution, rank + solution.cost.objective_key()
 
     return run_cascade(
@@ -634,7 +627,7 @@ def _execute_request(
         # truncated, and memoizing it under the canonical key would
         # poison the cache for every future asker of the same request.
         cache_info = {"status": "skipped", "reason": "cancelled"}
-    elif store is not None and _truncated(request, solution):
+    elif store is not None and solution.truncated:
         # A deadline cut the solve short: the answer depends on the
         # machine, so a replay of it would not be a replay of a solve.
         cache_info = {"status": "skipped", "reason": "truncated"}

@@ -129,8 +129,12 @@ def decode_kway(data: Dict[str, Any]) -> KWaySolution:
 
 
 def encode_bipartition(report: BipartitionReport) -> Dict[str, Any]:
-    """Encode a bipartition experiment report."""
-    return {
+    """Encode a bipartition experiment report.
+
+    ``truncated`` is written only when set: a complete report's payload,
+    and so its cache entry and result document, has no such key.
+    """
+    data: Dict[str, Any] = {
         "type": "bipartition",
         "codec": CODEC_VERSION,
         "circuit": report.circuit,
@@ -141,6 +145,9 @@ def encode_bipartition(report: BipartitionReport) -> Dict[str, Any]:
         "elapsed_seconds": report.elapsed_seconds,
         "n_cells": report.n_cells,
     }
+    if report.truncated:
+        data["truncated"] = True
+    return data
 
 
 def decode_bipartition(data: Dict[str, Any]) -> BipartitionReport:
@@ -157,6 +164,7 @@ def decode_bipartition(data: Dict[str, Any]) -> BipartitionReport:
             replicated_counts=replicated,
             elapsed_seconds=float(data["elapsed_seconds"]),
             n_cells=int(data["n_cells"]),
+            truncated=bool(data.get("truncated", False)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CacheDecodeError):

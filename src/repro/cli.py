@@ -997,7 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="cache_dir",
         metavar="DIR",
         default=None,
-        help="cache directory (default: REPRO_CACHE or the user cache dir)",
+        help="cache directory (default: REPRO_CACHE, otherwise results/cache)",
     )
     _add_multilevel_arg(p_kw)
     _add_jobs_arg(p_kw)
@@ -1062,7 +1062,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_an.set_defaults(func=_cmd_analyze)
 
-    p_exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
+    p_exp = sub.add_parser(
+        "experiment",
+        help="regenerate a paper table/figure (Tables III-VII solve as one "
+        "batch on every core, cached in REPRO_CACHE or results/cache)",
+    )
     p_exp.add_argument(
         "name",
         choices=[

@@ -9,14 +9,12 @@ defines the serializable result records.
 from repro.core.flow import (
     map_circuit,
     bipartition_experiment,
-    kway_experiment,
 )
 from repro.core.results import BipartitionReport, KWayReport
 
 __all__ = [
     "map_circuit",
     "bipartition_experiment",
-    "kway_experiment",
     "BipartitionReport",
     "KWayReport",
 ]

@@ -4,8 +4,10 @@
   equal-sized partitions minimizing the cut set with terminal constraints
   completely relaxed, comparing plain F-M min-cut against F-M min-cut with
   functional replication over N runs (Table III).
-* :func:`kway_experiment` -- experiment 2: the k-way device-cost/interconnect
-  flow for a given threshold replication potential T (Tables IV-VII).
+* :func:`kway_solution` -- experiment 2: the k-way device-cost/interconnect
+  flow for a given threshold replication potential T (Tables IV-VII);
+  :func:`~repro.core.results.kway_report_from_solution` turns its
+  solution into a table row.
 """
 
 from __future__ import annotations
@@ -13,11 +15,7 @@ from __future__ import annotations
 import time
 from typing import Optional, Tuple, Union
 
-from repro.core.results import (
-    BipartitionReport,
-    KWayReport,
-    kway_report_from_solution,
-)
+from repro.core.results import BipartitionReport
 from repro.hypergraph.build import build_hypergraph
 from repro.netlist.benchmarks import benchmark_circuit
 from repro.netlist.netlist import Netlist
@@ -78,7 +76,8 @@ def bipartition_experiment(
     given seed as long as no budget expires mid-sweep.  A ``budget`` is
     threaded into every run (which then winds down cooperatively); at one
     worker it is also checked between runs, and when it expires the
-    report covers the runs completed so far (always at least one).
+    report covers the runs completed so far (always at least one) and
+    reads ``truncated``.
 
     ``multilevel`` is tri-state: ``True`` runs every inner solve as a
     coarsen-solve-uncoarsen V-cycle (replication algorithms finish with a
@@ -136,49 +135,7 @@ def bipartition_experiment(
         replicated_counts=replicated,
         elapsed_seconds=time.perf_counter() - start,
         n_cells=hg.n_cells,
-    )
-
-
-def kway_experiment(
-    mapped: MappedNetlist,
-    threshold: Union[int, float],
-    library: Optional[DeviceLibrary] = None,
-    n_solutions: int = 2,
-    seed: int = 0,
-    seeds_per_carve: int = 3,
-    algorithm: str = "fm+functional",
-    devices_per_carve: int = 3,
-    budget: Optional[Budget] = None,
-    jobs: int = 1,
-    multilevel: Optional[bool] = None,
-) -> KWayReport:
-    """Experiment 2: one k-way heterogeneous partitioning data point.
-
-    ``threshold=float('inf')`` reproduces the no-replication baseline
-    (the "In [3]" columns of Tables IV-VII).  A graceful ``budget`` makes
-    the flow return its best (possibly truncated) solution at expiry.
-    ``jobs`` is the worker count of each carve level's candidate scan
-    (``0`` = all cores; the solution is the same for every count).
-
-    ``algorithm`` takes the same names as :func:`bipartition_experiment`
-    (``"fm+functional"``, ``"fm+traditional"``, ``"fm"``).
-    """
-    start = time.perf_counter()
-    solution = kway_solution(
-        mapped,
-        threshold,
-        library=library,
-        n_solutions=n_solutions,
-        seed=seed,
-        seeds_per_carve=seeds_per_carve,
-        algorithm=algorithm,
-        devices_per_carve=devices_per_carve,
-        budget=budget,
-        jobs=jobs,
-        multilevel=multilevel,
-    )
-    return kway_report_from_solution(
-        solution, threshold, time.perf_counter() - start
+        truncated=len(cuts) < runs,
     )
 
 
@@ -196,8 +153,15 @@ def kway_solution(
     multilevel: Optional[bool] = None,
     carve_fill_levels: Tuple[float, ...] = KWayConfig.carve_fill_levels,
 ) -> KWaySolution:
-    """Like :func:`kway_experiment` but returning the full solution object.
+    """Experiment 2: one k-way heterogeneous partitioning data point.
 
+    ``threshold=float('inf')`` reproduces the no-replication baseline
+    (the "In [3]" columns of Tables IV-VII).  A graceful ``budget`` makes
+    the flow return its best (possibly truncated) solution at expiry.
+    ``jobs`` is the worker count of each carve level's candidate scan
+    (``0`` = all cores; the solution is the same for every count).
+    ``algorithm`` takes the same names as :func:`bipartition_experiment`
+    (``"fm+functional"``, ``"fm+traditional"``, ``"fm"``).
     ``carve_fill_levels`` is :attr:`KWayConfig.carve_fill_levels`; the
     attempt cascade extends it on its lower rungs.
     """

@@ -18,6 +18,9 @@ class BipartitionReport:
     replicated_counts: List[int]
     elapsed_seconds: float
     n_cells: int
+    #: Fewer runs completed than were asked for (a deadline or a
+    #: cancellation wound the sweep down early).
+    truncated: bool = False
 
     @property
     def best_cut(self) -> int:

@@ -1,10 +1,16 @@
-"""Shared experiment plumbing: suite loading, table formatting, caching.
+"""Shared experiment plumbing: suite loading, table formatting, manifests.
 
 The paper's evaluation runs over nine benchmark circuits; experiments here
 take a ``scale`` knob (1.0 = the published circuit sizes) and a ``circuits``
 subset so benches can run quickly by default and at full fidelity on demand.
-Suite loading and the k-way sweep are memoized in-process because four of
-the paper's tables are different projections of one sweep.
+
+Every data point of Tables III-VII is a solver job of a batch manifest,
+run by :func:`run_manifest` through :func:`repro.batch.scheduler.run_batch`
+and so through :func:`repro.api.run_request`: k-way solutions are
+verified, every result is cached (a repeated table replays from the
+solution cache, CPU seconds included) and the jobs spread over every
+core.  Suite loading is memoized in-process for the tables that only
+inspect the mapped circuits (Table II, Figure 3).
 """
 
 from __future__ import annotations
@@ -12,8 +18,9 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.batch.scheduler import BatchReport, run_batch
 from repro.hypergraph.build import build_hypergraph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.netlist.benchmarks import BENCHMARK_NAMES, benchmark_circuit
@@ -99,6 +106,28 @@ def load_suite(
     """Load (and memoize) a benchmark suite at the given scale."""
     names = tuple(circuits) if circuits else BENCHMARK_NAMES
     return list(_load_suite_cached(names, scale, seed))
+
+
+def run_manifest(
+    manifest: Dict[str, Any],
+    jobs: int = 0,
+    cache: str = "use",
+    cache_dir: Optional[str] = None,
+) -> BatchReport:
+    """Run an experiment manifest through the batch scheduler.
+
+    ``jobs=0`` uses every core; ``cache="use"`` with no ``cache_dir``
+    reads and fills the store :func:`repro.cache.resolve_cache` picks
+    (``REPRO_CACHE``, otherwise ``results/cache``), so an interrupted
+    recording resumes and a repeated table is a replay.  Raises
+    ``RuntimeError`` when any job ends without a report: a table must
+    not render a hole.
+    """
+    batch = run_batch(manifest, jobs=jobs, cache=cache, cache_dir=cache_dir)
+    bad = [o.job_id for o in batch.outcomes if o.report is None]
+    if bad:
+        raise RuntimeError(f"batch {batch.name!r} left jobs without results: {bad}")
+    return batch
 
 
 def standard_parser(description: str) -> argparse.ArgumentParser:

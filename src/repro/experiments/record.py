@@ -7,6 +7,14 @@ for the largest ISCAS'89 circuits (documented in the output and in
 EXPERIMENTS.md; the reproduction targets are relative quantities, stable
 under scaling).
 
+Tables III-VII run as batch manifests through the batch scheduler
+(:func:`repro.experiments.common.run_manifest`): every k-way solution is
+verified, the jobs spread over ``--batch-jobs`` workers (default every
+core), and each result is memoized in the solution cache
+(``--cache-dir``, otherwise ``REPRO_CACHE`` or ``results/cache``), so an
+interrupted recording resumes where it stopped and a repeated one is a
+replay with identical tables.
+
 Every regeneration is also logged to the run ledger
 (:mod:`repro.obs.ledger`, default ``<out>/ledger``): one ``experiment``
 record per (circuit, T) configuration of the k-way sweep plus one per
@@ -19,23 +27,25 @@ Usage::
 
     python -m repro.experiments.record [--out results] [--skip-table3]
                                        [--ledger PATH | --no-ledger]
+                                       [--batch-jobs N] [--cache POLICY]
+                                       [--cache-dir PATH]
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.results import KWayReport
 from repro.experiments import figure3, table1, table2, table3, tables4to7
-from repro.experiments.common import TableResult
+from repro.experiments.common import TableResult, run_manifest
 from repro.obs import ledger as obs_ledger
+from repro.request import parse_threshold
 
 INF = float("inf")
 
-#: Per-circuit scale for the k-way sweep (runtime-bounded on one core).
+#: Per-circuit scale for the k-way sweep (runtime-bounded).
 #: The pad-heavy c5315/c7552 and the big ISCAS'89 circuits run reduced;
 #: every configuration remains a genuine multi-device problem.
 KWAY_SCALES: Dict[str, float] = {
@@ -163,13 +173,11 @@ def paper_drift_report(data: Dict[Tuple[str, float], KWayReport]) -> str:
     return "\n".join(lines)
 
 
-def sweep_manifest(seed: int = 1994) -> Dict:
-    """The recording k-way sweep as a batch manifest.
-
-    Same grid and fidelity as :func:`record_kway_sweep`'s in-process
-    path (per-circuit :data:`KWAY_SCALES`, n_solutions=1, 2 seeds and 2
-    devices per carve), so a pre-warmed cache makes recording a replay.
-    """
+def sweep_manifest(seed: int = 1994) -> Dict[str, Any]:
+    """The recording k-way sweep as a batch manifest: per-circuit
+    :data:`KWAY_SCALES`, one solution, two seeds and two devices per
+    carve.  The ledger records of :func:`record_kway_sweep` read their
+    settings from it."""
     return tables4to7.sweep_manifest(
         circuits=list(KWAY_SCALES),
         seed=seed,
@@ -181,26 +189,32 @@ def sweep_manifest(seed: int = 1994) -> Dict:
     )
 
 
-def _log_sweep_part(
+def _log_sweep(
     ledger: Optional[obs_ledger.Ledger],
-    part: Dict[Tuple[str, float], KWayReport],
+    manifest: Dict[str, Any],
+    data: Dict[Tuple[str, float], KWayReport],
     seed: int,
 ) -> None:
+    """One ``experiment`` ledger record per job of the recording sweep,
+    its settings read from the job and the manifest defaults."""
     if ledger is None:
         return
-    for (name, threshold), report in sorted(part.items()):
+    carve = {
+        name: manifest["defaults"][name]
+        for name in ("n_solutions", "seeds_per_carve", "devices_per_carve")
+    }
+    for job in manifest["jobs"]:
+        report = data[(job["circuit"], parse_threshold(job["threshold"]))]
         ledger.append(
             obs_ledger.build_record(
                 kind="experiment",
-                circuit=name,
+                circuit=job["circuit"],
                 config={
                     "verb": "experiment",
                     "suite": "tables4to7",
-                    "threshold": threshold,
-                    "scale": KWAY_SCALES[name],
-                    "n_solutions": 1,
-                    "seeds_per_carve": 2,
-                    "devices_per_carve": 2,
+                    "threshold": job["threshold"],
+                    "scale": job["scale"],
+                    **carve,
                 },
                 seed=seed,
                 quality=obs_ledger.quality_from_kway_report(report),
@@ -213,45 +227,18 @@ def record_kway_sweep(
     out_dir: str,
     seed: int = 1994,
     ledger: Optional[obs_ledger.Ledger] = None,
-    batch_jobs: Optional[int] = None,
-    cache: str = "off",
+    batch_jobs: int = 0,
+    cache: str = "use",
     cache_dir: Optional[str] = None,
 ) -> Dict[Tuple[str, float], KWayReport]:
-    data: Dict[Tuple[str, float], KWayReport] = {}
-    start = time.time()
-    if batch_jobs is not None:
-        # Batch path: the whole sweep as one manifest through the
-        # scheduler -- deduped against the solution cache, fanned out
-        # over `batch_jobs` workers.  Ledger records and tables are
-        # identical to the sequential path.
-        data, batch = tables4to7.sweep_via_batch(
-            circuits=list(KWAY_SCALES),
-            seed=seed,
-            n_solutions=1,
-            seeds_per_carve=2,
-            devices_per_carve=2,
-            scales=KWAY_SCALES,
-            jobs=batch_jobs,
-            cache=cache,
-            cache_dir=cache_dir,
-        )
-        _log_sweep_part(ledger, data, seed)
-        print(f"  batch sweep: {batch.summary()}")
-    else:
-        for circuit, scale in KWAY_SCALES.items():
-            part = tables4to7.sweep(
-                (circuit,),
-                scale,
-                seed=seed,
-                n_solutions=1,
-                seeds_per_carve=2,
-                devices_per_carve=2,
-            )
-            data.update(part)
-            _log_sweep_part(ledger, part, seed)
-            print(
-                f"  {circuit} (scale {scale}) done at {time.time() - start:.0f}s"
-            )
+    """Run the recording sweep (:func:`sweep_manifest`) through the
+    batch scheduler and write Tables IV-VII, the device distributions
+    and the drift report."""
+    manifest = sweep_manifest(seed)
+    batch = run_manifest(manifest, jobs=batch_jobs, cache=cache, cache_dir=cache_dir)
+    print(f"  batch sweep: {batch.summary()}")
+    data = tables4to7.reports_from_batch(batch)
+    _log_sweep(ledger, manifest, data, seed)
     scales_note = ", ".join(f"{c}@{s}" for c, s in KWAY_SCALES.items())
     for name, fn in (
         ("table4.txt", tables4to7.table4),
@@ -290,22 +277,23 @@ def main() -> None:
     parser.add_argument(
         "--batch-jobs",
         type=int,
-        default=None,
+        default=0,
         metavar="N",
-        help="run the k-way sweep through the batch scheduler with N "
-        "workers (default: sequential in-process sweep)",
+        help="batch worker processes for Tables III-VII (default 0: "
+        "every core)",
     )
     parser.add_argument(
         "--cache",
         choices=("use", "refresh", "off"),
-        default="off",
-        help="solution-cache policy for the batch sweep (default off)",
+        default="use",
+        help="solution-cache policy for Tables III-VII (default use)",
     )
     parser.add_argument(
         "--cache-dir",
         metavar="PATH",
         default=None,
-        help="solution-cache directory (default results/cache)",
+        help="solution-cache directory (default REPRO_CACHE, otherwise "
+        "results/cache)",
     )
     args = parser.parse_args()
     os.makedirs(args.out, exist_ok=True)
@@ -324,8 +312,17 @@ def main() -> None:
     _log_table(ledger, "table2", result, args.seed)
     _write(args.out, "figure3.txt", figure3.run(scale=1.0, seed=args.seed).text())
     if not args.skip_table3:
-        result = table3.run(
-            scale=args.table3_scale, seed=args.seed, runs=args.table3_runs
+        batch = run_manifest(
+            table3.manifest(
+                scale=args.table3_scale, seed=args.seed, runs=args.table3_runs
+            ),
+            jobs=args.batch_jobs,
+            cache=args.cache,
+            cache_dir=args.cache_dir,
+        )
+        print(f"  batch table3: {batch.summary()}")
+        result = table3.table(
+            table3.reports_from_batch(batch), args.table3_scale, args.table3_runs, 0
         )
         _write(args.out, "table3.txt", result.text())
         _log_table(ledger, "table3", result, args.seed)

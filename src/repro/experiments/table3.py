@@ -11,35 +11,56 @@ average-cut reduction, +34% CPU.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.flow import bipartition_experiment
 from repro.core.results import BipartitionReport
 from repro.experiments.common import (
     TableResult,
     geomean_percent,
-    load_suite,
+    run_manifest,
     standard_parser,
 )
 
 
-def reports(
+def manifest(
     circuits: Optional[Sequence[str]] = None,
     scale: float = 1.0,
     seed: int = 1994,
     runs: int = 20,
     threshold: int = 0,
-) -> Dict[str, Dict[str, BipartitionReport]]:
-    """Per-circuit reports for both algorithms."""
-    out: Dict[str, Dict[str, BipartitionReport]] = {}
-    for sc in load_suite(circuits, scale, seed):
-        out[sc.name] = {
-            "fm": bipartition_experiment(sc.mapped, "fm", runs=runs, seed=seed),
-            "fr": bipartition_experiment(
-                sc.mapped, "fm+functional", runs=runs, threshold=threshold, seed=seed
-            ),
-        }
-    return out
+) -> Dict[str, Any]:
+    """Table III as a ``repro-batch-manifest/1`` document.
+
+    One bipartition job per (circuit, algorithm); the threshold applies
+    to the replication runs, plain F-M runs at the request default.
+    """
+    from repro.batch.manifest import MANIFEST_SCHEMA_NAME
+    from repro.netlist.benchmarks import BENCHMARK_NAMES
+
+    jobs: List[Dict[str, Any]] = []
+    for circuit in circuits or BENCHMARK_NAMES:
+        jobs.append({"circuit": circuit, "algorithm": "fm"})
+        jobs.append(
+            {"circuit": circuit, "algorithm": "fm+functional", "threshold": threshold}
+        )
+    return {
+        "schema": MANIFEST_SCHEMA_NAME,
+        "name": "table3",
+        "defaults": {"verb": "bipartition", "seed": seed, "scale": scale, "runs": runs},
+        "jobs": jobs,
+    }
+
+
+def reports_from_batch(report: Any) -> Dict[str, Dict[str, BipartitionReport]]:
+    """``{circuit: {algorithm: BipartitionReport}}`` from a finished
+    Table III batch, circuits in manifest order."""
+    data: Dict[str, Dict[str, BipartitionReport]] = {}
+    for outcome in report.outcomes:
+        if outcome.verb == "bipartition" and outcome.report is not None:
+            data.setdefault(outcome.circuit, {})[outcome.report.algorithm] = (
+                outcome.report
+            )
+    return data
 
 
 def run(
@@ -49,13 +70,24 @@ def run(
     runs: int = 20,
     threshold: int = 0,
 ) -> TableResult:
-    data = reports(circuits, scale, seed, runs, threshold)
+    """Run the Table III batch on every core and build the table."""
+    batch = run_manifest(manifest(circuits, scale, seed, runs, threshold))
+    return table(reports_from_batch(batch), scale, runs, threshold)
+
+
+def table(
+    data: Dict[str, Dict[str, BipartitionReport]],
+    scale: float,
+    runs: int,
+    threshold: int,
+) -> TableResult:
+    """Table III from per-circuit reports of both algorithms."""
     rows: List[List[object]] = []
     best_reds: List[float] = []
     avg_reds: List[float] = []
     cpu_ratios: List[float] = []
     for name, pair in data.items():
-        fm, fr = pair["fm"], pair["fr"]
+        fm, fr = pair["fm"], pair["fm+functional"]
         best_red = 100.0 * (fm.best_cut - fr.best_cut) / fm.best_cut if fm.best_cut else 0.0
         avg_red = 100.0 * (fm.avg_cut - fr.avg_cut) / fm.avg_cut if fm.avg_cut else 0.0
         best_reds.append(best_red)

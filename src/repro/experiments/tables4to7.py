@@ -11,75 +11,24 @@ paper tables:
 * **Table VII** -- average IOB utilization per T vs. baseline (the
   interconnect measure of eq. 2; paper: 77% down to 67% on average).
 
-The sweep is memoized in-process so the four tables (and their benches)
-share one computation.  For cached/resumable sweeps, the same grid can
-be expressed as a batch manifest (:func:`sweep_manifest`) and driven
-through :func:`repro.batch.scheduler.run_batch`; :func:`sweep_via_batch`
-bundles both and :func:`reports_from_batch` turns a finished batch back
-into the ``{(circuit, T): KWayReport}`` dict the table builders take.
+The sweep is one batch manifest (:func:`sweep_manifest`, one partition
+job per circuit and threshold) run through
+:func:`repro.experiments.common.run_manifest`; :func:`reports_from_batch`
+turns the finished batch into the ``{(circuit, T): KWayReport}`` dict
+the table builders take, and :func:`sweep` does both.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.flow import kway_experiment
 from repro.core.results import KWayReport
-from repro.experiments.common import TableResult, load_suite, standard_parser
+from repro.experiments.common import TableResult, run_manifest, standard_parser
 
 INF = float("inf")
 #: The paper's threshold settings: the baseline plus T = 0..3 (its Table IV
 #: note: "T = 0 includes multi-output cells with psi = 0").
 DEFAULT_THRESHOLDS: Tuple[float, ...] = (INF, 0, 1, 2, 3)
-
-
-@lru_cache(maxsize=16)
-def _sweep_cached(
-    circuits: Tuple[str, ...],
-    scale: float,
-    seed: int,
-    thresholds: Tuple[float, ...],
-    n_solutions: int,
-    seeds_per_carve: int,
-    devices_per_carve: int,
-) -> Dict[Tuple[str, float], KWayReport]:
-    out: Dict[Tuple[str, float], KWayReport] = {}
-    for sc in load_suite(circuits, scale, seed):
-        for t in thresholds:
-            out[(sc.name, t)] = kway_experiment(
-                sc.mapped,
-                threshold=t,
-                n_solutions=n_solutions,
-                seed=seed,
-                seeds_per_carve=seeds_per_carve,
-                devices_per_carve=devices_per_carve,
-            )
-    return out
-
-
-def sweep(
-    circuits: Optional[Sequence[str]] = None,
-    scale: float = 1.0,
-    seed: int = 1994,
-    thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
-    n_solutions: int = 2,
-    seeds_per_carve: int = 3,
-    devices_per_carve: int = 3,
-) -> Dict[Tuple[str, float], KWayReport]:
-    """Run (or fetch the memoized) k-way sweep."""
-    from repro.netlist.benchmarks import BENCHMARK_NAMES
-
-    names = tuple(circuits) if circuits else BENCHMARK_NAMES
-    return _sweep_cached(
-        names,
-        scale,
-        seed,
-        tuple(thresholds),
-        n_solutions,
-        seeds_per_carve,
-        devices_per_carve,
-    )
 
 
 def sweep_manifest(
@@ -98,9 +47,8 @@ def sweep_manifest(
     One partition job per (circuit, threshold); ``scales`` overrides the
     global ``scale`` per circuit (the recording scales of
     :mod:`repro.experiments.record`).  ``T = inf`` is spelled ``"inf"``
-    (strict JSON).  Feed the result to
-    :func:`repro.batch.scheduler.run_batch` and rebuild the table input
-    with :func:`reports_from_batch`.
+    (strict JSON).  :func:`sweep` runs it; ``repro batch manifest``
+    writes it to a file.
     """
     from repro.batch.manifest import MANIFEST_SCHEMA_NAME
     from repro.netlist.benchmarks import BENCHMARK_NAMES
@@ -143,7 +91,7 @@ def reports_from_batch(report: Any) -> Dict[Tuple[str, float], KWayReport]:
     return data
 
 
-def sweep_via_batch(
+def sweep(
     circuits: Optional[Sequence[str]] = None,
     scale: float = 1.0,
     seed: int = 1994,
@@ -151,35 +99,25 @@ def sweep_via_batch(
     n_solutions: int = 2,
     seeds_per_carve: int = 3,
     devices_per_carve: int = 3,
-    scales: Optional[Dict[str, float]] = None,
-    jobs: int = 1,
-    cache: str = "use",
-    cache_dir: Optional[str] = None,
-) -> Tuple[Dict[Tuple[str, float], KWayReport], Any]:
-    """Run the T-sweep through the batch scheduler with caching.
+) -> Dict[Tuple[str, float], KWayReport]:
+    """Run the T-sweep through the batch scheduler on every core.
 
-    Returns ``(table data, BatchReport)``.  Repeated invocations with an
-    intact cache complete as pure cache hits with bit-identical reports
-    (including the CPU-seconds columns, which replay the original solve
-    times).
+    A repeated sweep on the same cache replays bit-identical reports,
+    the CPU-seconds columns included (a hit reports the original solve
+    time).
     """
-    from repro.batch.scheduler import run_batch
-
-    manifest = sweep_manifest(
-        circuits,
-        scale,
-        seed,
-        thresholds,
-        n_solutions,
-        seeds_per_carve,
-        devices_per_carve,
-        scales=scales,
+    batch = run_manifest(
+        sweep_manifest(
+            circuits,
+            scale,
+            seed,
+            thresholds,
+            n_solutions,
+            seeds_per_carve,
+            devices_per_carve,
+        )
     )
-    batch = run_batch(manifest, jobs=jobs, cache=cache, cache_dir=cache_dir)
-    bad = [o.job_id for o in batch.outcomes if o.report is None]
-    if bad:
-        raise RuntimeError(f"sweep batch left jobs without results: {bad}")
-    return reports_from_batch(batch), batch
+    return reports_from_batch(batch)
 
 
 def _circuit_names(data: Dict[Tuple[str, float], KWayReport]) -> List[str]:
@@ -191,6 +129,23 @@ def _circuit_names(data: Dict[Tuple[str, float], KWayReport]) -> List[str]:
 
 def _threshold_label(t: float) -> str:
     return "inf" if t == INF else str(int(t))
+
+
+def _infeasible_notes(data: Dict[Tuple[str, float], KWayReport]) -> List[str]:
+    """One note naming every (circuit, T) whose solution is infeasible:
+    such a solution still has a cost and utilizations, so its row
+    prints like any other."""
+    rows = [
+        f"{name} T={_threshold_label(t)}"
+        for (name, t), report in data.items()
+        if not report.feasible
+    ]
+    if not rows:
+        return []
+    return [
+        "infeasible (a block exceeds its device's CLB or IOB limit): "
+        + ", ".join(rows)
+    ]
 
 
 def table4(data: Dict[Tuple[str, float], KWayReport], scale: float) -> TableResult:
@@ -217,7 +172,8 @@ def table4(data: Dict[Tuple[str, float], KWayReport], scale: float) -> TableResu
         title=f"Table IV: percentage of replicated cells and CPU cost (scale={scale})",
         headers=headers,
         rows=rows,
-        notes=["T=0 includes multi-output cells with psi=0 (paper's note)"],
+        notes=["T=0 includes multi-output cells with psi=0 (paper's note)"]
+        + _infeasible_notes(data),
     )
 
 
@@ -249,6 +205,7 @@ def table5(data: Dict[Tuple[str, float], KWayReport], scale: float) -> TableResu
         title=f"Table V: average CLB utilization after partitioning (scale={scale})",
         headers=headers,
         rows=rows,
+        notes=_infeasible_notes(data),
     )
 
 
@@ -278,6 +235,7 @@ def table6(data: Dict[Tuple[str, float], KWayReport], scale: float) -> TableResu
         title=f"Table VI: total design cost after partitioning (scale={scale})",
         headers=headers,
         rows=rows,
+        notes=_infeasible_notes(data),
     )
 
 
@@ -311,6 +269,7 @@ def table7(data: Dict[Tuple[str, float], KWayReport], scale: float) -> TableResu
         title=f"Table VII: average IOB utilization after partitioning (scale={scale})",
         headers=headers,
         rows=rows,
+        notes=_infeasible_notes(data),
     )
 
 
@@ -341,6 +300,7 @@ def device_distribution_table(
         title=f"Device distributions: baseline vs T=1 (scale={scale})",
         headers=["Circuit", "k [3]", "devices [3]", "k T=1", "devices T=1"],
         rows=rows,
+        notes=_infeasible_notes(data),
     )
 
 

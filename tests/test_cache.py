@@ -157,6 +157,18 @@ def test_decode_rejects_stale_codec_and_unknown_type():
         decode_solution([1, 2, 3])
 
 
+def test_bipartition_truncated_flag_is_written_only_when_set():
+    from repro.core.results import BipartitionReport
+
+    report = BipartitionReport("c", "fm", 2, [3, 4], [0, 0], 0.5, 10)
+    assert "truncated" not in encode_solution(report)
+    cut_short = BipartitionReport("c", "fm", 1, [3], [0], 0.5, 10, truncated=True)
+    payload = encode_solution(cut_short)
+    assert payload["truncated"] is True
+    assert decode_solution(payload) == cut_short
+    assert decode_solution(encode_solution(report)) == report
+
+
 def test_encode_rejects_uncacheable_shapes():
     with pytest.raises(TypeError):
         encode_solution(object())
@@ -205,14 +217,19 @@ def test_evict_zero_empties_store(store, mapped, kway_result):
     }
 
 
-def test_put_runs_eviction_automatically(store, mapped, kway_result):
+def test_put_runs_eviction_automatically(store, mapped, kway_result, tmp_path):
     first = _entry_for(mapped, kway_result.solution, seed=0)
+    second = _entry_for(mapped, kway_result.solution, seed=1)
     path = store.put(first)
     os.utime(path, (1, 1))
-    store.max_bytes = os.path.getsize(path) + 1
-    store.put(_entry_for(mapped, kway_result.solution, seed=1))
+    # The entries' lengths differ with their created_ts floats, so the cap
+    # is the larger of the two on-disk sizes: either fits, both do not.
+    sizer = SolutionCache(str(tmp_path / "sizer"))
+    store.max_bytes = max(os.path.getsize(path), os.path.getsize(sizer.put(second)))
+    store.put(second)
     assert store.stats()["entries"] == 1
     assert store.get(first["key"]) is None  # older entry was evicted
+    assert store.get(second["key"]) is not None
 
 
 # ---------------------------------------------------------------------------

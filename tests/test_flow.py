@@ -4,11 +4,10 @@ import pytest
 
 from repro.core.flow import (
     bipartition_experiment,
-    kway_experiment,
     kway_solution,
     map_circuit,
 )
-from repro.core.results import BipartitionReport, dump_reports
+from repro.core.results import dump_reports, kway_report_from_solution
 from repro.partition.devices import Device, DeviceLibrary
 
 TINY_LIBRARY = DeviceLibrary(
@@ -75,29 +74,24 @@ class TestBipartitionExperiment:
 
 
 class TestKWayExperiment:
+    @staticmethod
+    def report(mapped, threshold, **kwargs):
+        solution = kway_solution(mapped, threshold, library=TINY_LIBRARY, **kwargs)
+        return kway_report_from_solution(solution, threshold, 0.0)
+
     def test_with_replication(self, mapped):
-        report = kway_experiment(
-            mapped, threshold=1, library=TINY_LIBRARY, n_solutions=1, seeds_per_carve=2
-        )
+        report = self.report(mapped, 1, n_solutions=1, seeds_per_carve=2)
         assert report.k >= 2
         assert report.total_cost > 0
         assert 0 < report.avg_clb_utilization <= 1.0
 
     def test_baseline(self, mapped):
-        report = kway_experiment(
-            mapped,
-            threshold=float("inf"),
-            library=TINY_LIBRARY,
-            n_solutions=1,
-            seeds_per_carve=2,
-        )
+        report = self.report(mapped, float("inf"), n_solutions=1, seeds_per_carve=2)
         assert report.replicated_fraction == 0.0
         assert report.threshold == float("inf")
 
     def test_report_dict(self, mapped):
-        report = kway_experiment(
-            mapped, threshold=float("inf"), library=TINY_LIBRARY, n_solutions=1
-        )
+        report = self.report(mapped, float("inf"), n_solutions=1)
         data = report.as_dict()
         assert data["threshold"] == "inf"
 

@@ -289,6 +289,29 @@ class TestBipartition:
         # goes on down the ladder until the deadline has passed.
         assert set(result.run_log.outcomes()) == {"truncated"}
 
+    def test_truncated_report_is_not_ok(self):
+        """A report cut short reads ``ok`` False on the object, in its
+        document and after a round trip, and its batch job is degraded."""
+        from repro.batch.manifest import MANIFEST_SCHEMA_NAME
+        from repro.batch.scheduler import run_batch
+
+        fields = dict(scale=0.1, seed=3, runs=40, deadline=0.12)
+        with faults.inject(Fault("engine.run", delay=0.05)):
+            result = api.run_request(build_request("bipartition", "s5378", **fields))
+        assert result.solution.truncated and result.solution.runs < 40
+        assert not result.ok
+        assert result.to_dict()["ok"] is False
+        again = api.RunResult.from_json(result.to_json())
+        assert again.solution.truncated and not again.ok
+        manifest = {
+            "schema": MANIFEST_SCHEMA_NAME,
+            "defaults": {"verb": "bipartition", **fields},
+            "jobs": [{"circuit": "s5378"}],
+        }
+        with faults.inject(Fault("engine.run", delay=0.05)):
+            batch = run_batch(manifest, cache="off")
+        assert [o.status for o in batch.outcomes] == ["degraded"]
+
 
 class TestTruncatedResultsAreNotStored:
     """A deadline-truncated result is returned but never memoized."""
