@@ -266,7 +266,8 @@ def _cache_store_result(
     cache: str,
     store: cache_store.SolutionCache,
     key: str,
-    mapped: MappedNetlist,
+    circuit: str,
+    netlist_hash: str,
     config: Dict[str, Any],
     seed: int,
     solution: Any,
@@ -277,8 +278,8 @@ def _cache_store_result(
         cache_store.build_entry(
             kind=kind,
             key=key,
-            circuit=mapped.name,
-            netlist_hash=obs_ledger.netlist_fingerprint(mapped),
+            circuit=circuit,
+            netlist_hash=netlist_hash,
             config=config,
             seed=seed,
             solution=cache_codec.encode_solution(solution),
@@ -288,7 +289,7 @@ def _cache_store_result(
     reg = get_registry()
     reg.counter("cache.misses" if cache == "use" else "cache.refreshes").inc()
     reg.counter("cache.stores").inc()
-    reg.emit_event("cache.store", key=key, kind=kind, circuit=mapped.name)
+    reg.emit_event("cache.store", key=key, kind=kind, circuit=circuit)
     return {
         "status": "miss" if cache == "use" else "refreshed",
         "key": key,
@@ -300,6 +301,7 @@ def _try_warm_solve(
     request: PartitionRequest,
     store: Optional[cache_store.SolutionCache],
     base_mapped: MappedNetlist,
+    base_hash: Optional[str],
     mapped: MappedNetlist,
     dirty: Any,
     config: Dict[str, Any],
@@ -307,11 +309,14 @@ def _try_warm_solve(
     """Attempt an incremental warm-start solve for a delta request.
 
     Returns ``(solution, warm_info)``; ``solution`` is ``None`` when no
-    usable prior exists or the repair declined (``warm_info["reason"]``
-    says why) and the caller falls back to the cold path.  The prior is
-    the entry named by ``request.warm_start`` (when it is an explicit
-    key) or the cache's nearest ancestor by *base* netlist hash --
-    warm-starting always needs the cache, so ``cache="off"`` requests
+    usable prior exists, the repair declined or the repair fails
+    :func:`~repro.partition.verify.verify_solution` against ``mapped``
+    (``warm_info["reason"]`` says why, naming the first violation) and
+    the caller falls back to the cold path.  The prior is the entry
+    named by ``request.warm_start`` (when it is an explicit key) or the
+    cache's nearest ancestor by *base* netlist hash -- ``base_hash`` when
+    the caller already computed it, fingerprinted here otherwise.
+    Warm-starting always needs the cache, so ``cache="off"`` requests
     solve cold regardless of ``warm_start``.
     """
     from repro.partition.incremental import IncrementalConfig, incremental_partition
@@ -323,9 +328,11 @@ def _try_warm_solve(
         entry = store.get(request.warm_start)
         miss = f"warm-start key {request.warm_start!r} not in cache"
     else:
+        if base_hash is None:
+            base_hash = obs_ledger.netlist_fingerprint(base_mapped)
         entry = cache_store.nearest_ancestor(
             store,
-            obs_ledger.netlist_fingerprint(base_mapped),
+            base_hash,
             config_fp=obs_ledger.config_fingerprint(obs_ledger._jsonable(config)),
             seed=request.seed,
         )
@@ -344,6 +351,12 @@ def _try_warm_solve(
     )
     info["ancestor_key"] = entry.get("key")
     info["ancestor_elapsed"] = entry.get("elapsed_seconds")
+    if solution is not None:
+        problems = verify_solution(mapped, solution)
+        if problems:
+            info["mode"] = "cold"
+            info["reason"] = f"repair failed verification: {problems[0]}"
+            return None, info
     return solution, info
 
 
@@ -565,15 +578,16 @@ def _execute_request(
     # the solve itself).  An empty delta leaves ``mapped`` untouched, so
     # its key equals the base request's key -- a pure cache hit.
     base_mapped = mapped
+    base_hash: Optional[str] = None
     dirty = None
     if request.delta is not None:
         if request.delta.base is not None:
-            live = obs_ledger.netlist_fingerprint(base_mapped)
-            if request.delta.base != live:
+            base_hash = obs_ledger.netlist_fingerprint(base_mapped)
+            if request.delta.base != base_hash:
                 raise DeltaError(
                     f"delta was computed against netlist "
                     f"{request.delta.base[:12]}..., but the live netlist "
-                    f"is {live[:12]}..."
+                    f"is {base_hash[:12]}..."
                 )
         mapped, dirty = request.apply_delta(base_mapped)
     use_ml = request.resolve_multilevel(mapped.n_cells)
@@ -581,8 +595,17 @@ def _execute_request(
     # built inline pre-redesign, so fingerprints and cache keys carry over.
     config = request.config(use_ml)
     store = cache_store.resolve_cache() if policy is not CachePolicy.OFF else None
+    # One fingerprint of the solved netlist serves the cache key, the
+    # cache entry and the ledger record; the base hash is reused when the
+    # delta left the netlist as it was.
+    if mapped is base_mapped and base_hash is not None:
+        netlist_hash = base_hash
+    elif store is not None or ledger is not None:
+        netlist_hash = obs_ledger.netlist_fingerprint(mapped)
+    else:
+        netlist_hash = ""  # neither the cache nor a ledger reads it
     key = (
-        cache_store.cache_key(mapped, config, request.seed)
+        cache_store.cache_key(netlist_hash, config, request.seed)
         if store is not None
         else ""
     )
@@ -599,7 +622,7 @@ def _execute_request(
     with obs_ledger.capture_events(enabled=ledger is not None) as events:
         if dirty is not None and (request.warm_start or "auto") != "off":
             solution, warm_info = _try_warm_solve(
-                request, store, base_mapped, mapped, dirty, config
+                request, store, base_mapped, base_hash, mapped, dirty, config
             )
         if solution is None:
             solution, log = _solve(request, mapped, library, n_jobs, use_ml)
@@ -637,7 +660,8 @@ def _execute_request(
             policy.value,
             store,
             key,
-            mapped,
+            mapped.name,
+            netlist_hash,
             config,
             request.seed,
             solution,
@@ -658,7 +682,7 @@ def _execute_request(
             obs_ledger.build_record(
                 kind=kind,
                 circuit=mapped.name,
-                mapped=mapped,
+                netlist_hash=netlist_hash,
                 config=config,
                 seed=request.seed,
                 quality=quality,
@@ -704,8 +728,19 @@ def cached_result(
     # ``mapped`` is the *base* netlist (the service memoizes it by
     # circuit x scale x mapping-seed); a carried delta applies here so
     # the key and the verify target are both the post-delta netlist.
-    key = request.cache_key(mapped)
-    mapped, _ = request.apply_delta(mapped)
+    mapped, key = request.keyed_netlist(mapped)
+    return _cached_lookup(request, store, mapped, key)
+
+
+def _cached_lookup(
+    request: PartitionRequest,
+    store: cache_store.SolutionCache,
+    mapped: MappedNetlist,
+    key: str,
+) -> Optional[RunResult]:
+    """:func:`cached_result` for the post-delta ``mapped`` netlist and
+    its ``key`` (:meth:`~repro.request.PartitionRequest.keyed_netlist`),
+    which the service's hot path has already computed."""
     reg = get_registry()
     with reg.trace_scope(request.trace_id):
         hit = _cache_try_hit(request.verb, store, key, mapped)

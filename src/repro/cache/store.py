@@ -10,11 +10,11 @@ Layout (modelled on write-ahead / sharded-key stores)::
   :func:`repro.obs.ledger.run_key`: netlist hash x canonical config
   fingerprint x seed.  Anything that changes solver output changes the
   key, so invalidation is automatic (see ``docs/CACHING.md``).
-* **Writes** are atomic: the entry is serialized to a per-writer
-  (pid x thread) ``.tmp`` sibling and ``os.replace``d into place, so
-  concurrent writers (e.g. two batch pool workers solving the same key)
-  race benignly -- last complete write wins, readers never observe a
-  torn file.
+* **Writes** are atomic: the entry is serialized in one ``json.dumps``
+  call to a per-writer (pid x thread) ``.tmp`` sibling and
+  ``os.replace``d into place, so concurrent writers (e.g. two batch pool
+  workers solving the same key) race benignly -- last complete write
+  wins, readers never observe a torn file.
 * **Reads** are defensive: unparseable / schema-mismatched / truncated
   entries are treated as misses and deleted, never raised.
 * **Size cap**: the store is LRU-bounded by file mtime.  Hits bump the
@@ -68,17 +68,19 @@ ENTRY_KINDS = ("partition", "bipartition")
 CACHE_POLICIES = ("use", "refresh", "off")
 
 
-def cache_key(mapped: Any, config: Dict[str, Any], seed: int) -> str:
-    """The entry key for a (mapped netlist, config, seed) request.
+def cache_key(netlist_hash: str, config: Dict[str, Any], seed: int) -> str:
+    """The entry key for a (netlist hash, config, seed) request.
 
-    Exactly the ledger's ``run_key`` over the same canonicalized inputs,
-    so a cache entry and its ledger record share identity.
+    ``netlist_hash`` is :func:`~repro.obs.ledger.netlist_fingerprint` of
+    the solved netlist, computed once by the caller.  Exactly the
+    ledger's ``run_key`` over the same canonicalized inputs, so a cache
+    entry and its ledger record share identity.
     """
-    return run_key(
-        netlist_fingerprint(mapped),
-        config_fingerprint(_jsonable(config)),
-        seed,
-    )
+    if not isinstance(netlist_hash, str):
+        raise TypeError(
+            f"cache_key takes the netlist hash, got {type(netlist_hash).__name__}"
+        )
+    return run_key(netlist_hash, config_fingerprint(_jsonable(config)), seed)
 
 
 def build_entry(
@@ -97,10 +99,12 @@ def build_entry(
     :mod:`repro.cache.codec`; ``elapsed_seconds`` records the original
     solve wall-clock, which hits report back as the time *saved* and
     which keeps cached experiment tables (CPU-seconds columns included)
-    bit-identical across re-runs.
+    bit-identical across re-runs.  The entry is strict JSON as built, so
+    :meth:`SolutionCache.put` serializes it without another copy.
     """
     if kind not in ENTRY_KINDS:
         raise ValueError(f"unknown cache entry kind {kind!r}; expected {ENTRY_KINDS}")
+    config = _jsonable(config)
     return {
         "v": CACHE_SCHEMA_VERSION,
         "schema": CACHE_SCHEMA_NAME,
@@ -108,8 +112,8 @@ def build_entry(
         "kind": kind,
         "circuit": circuit,
         "netlist_hash": netlist_hash,
-        "config": _jsonable(config),
-        "config_fingerprint": config_fingerprint(_jsonable(config)),
+        "config": config,
+        "config_fingerprint": config_fingerprint(config),
         "seed": seed,
         "created_ts": time.time(),
         "elapsed_seconds": elapsed_seconds,
@@ -212,16 +216,24 @@ class SolutionCache:
         rename lands last wins, and both writers stored equivalent
         content (the solvers are deterministic per key).  The LRU
         eviction pass runs after the insert.
+
+        The entry must already be strict JSON, as :func:`build_entry`
+        and :mod:`repro.cache.codec` produce it: it is encoded in one
+        ``json.dumps`` call with ``allow_nan=False``, so an ``inf`` or
+        ``nan`` raises ``ValueError`` and a set or other non-JSON value
+        ``TypeError`` instead of being written as different bytes.
         """
         problems = validate_entry(entry)
         if problems:
             raise ValueError(f"refusing to store malformed cache entry: {problems}")
+        text = json.dumps(
+            entry, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
         path = self.path_for(entry["key"])
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(entry), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(text + "\n")
         # Fault site: an injected error here models a writer dying between
         # the tmp write and the atomic rename -- the stray .tmp stays, the
         # entry never becomes visible.
@@ -303,19 +315,31 @@ def nearest_ancestor(
 ) -> Optional[Dict[str, Any]]:
     """Best prior entry to warm-start from for a netlist with this hash.
 
-    Exact-key lookup answers "have I solved *this* request"; this scan
+    Exact-key lookup answers "have I solved *this* request"; this
     answers "have I solved this *netlist* before, under any config" --
-    the index the incremental solver consults to find the pre-ECO
-    solution when the caller did not pass an explicit warm-start key.
+    what the incremental solver consults to find the pre-ECO solution
+    when the caller did not pass an explicit warm-start key.
 
     Candidates are ranked by how closely their identity matches:
     same (hash, config fingerprint, seed) beats same (hash, config
     fingerprint) beats same hash alone; ties break on recency (mtime).
-    Returns the winning entry document, or ``None`` when no entry of
-    ``kind`` with that netlist hash exists.  Reads are as defensive as
+    The top tier has at most one entry, the one stored under
+    ``run_key(netlist_hash, config_fp, seed)``, so that key is read
+    first through :meth:`SolutionCache.get` (which deletes a corrupt
+    entry there, like any lookup) and the scan of the whole store runs
+    only when it holds no such entry.  Returns the winning entry
+    document, or ``None`` when no entry of ``kind`` with that netlist
+    hash exists.  The scan's reads are as defensive as
     :meth:`SolutionCache.get` -- unreadable entries are skipped, never
-    raised (but also not deleted: this is a scan, not a lookup).
+    raised (but also not deleted: a scan is not a lookup).
     """
+    if config_fp is not None and seed is not None:
+        exact = store.get(run_key(netlist_hash, config_fp, seed))
+        if exact is not None and (
+            exact["kind"], exact["netlist_hash"],
+            exact["config_fingerprint"], exact["seed"],
+        ) == (kind, netlist_hash, config_fp, seed):
+            return exact
     best: Optional[Tuple[Tuple[int, float], Dict[str, Any]]] = None
     for _, path, _, mtime in store.entries():
         try:
@@ -400,6 +424,7 @@ __all__ = [
     "cache_key",
     "get_cache",
     "nearest_ancestor",
+    "netlist_fingerprint",  # the hash every cache key is derived from
     "resolve_cache",
     "set_cache",
     "use_cache",

@@ -24,6 +24,7 @@ from repro.batch.scheduler import BatchReport, run_batch
 from repro.hypergraph.build import build_hypergraph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.netlist.benchmarks import BENCHMARK_NAMES, benchmark_circuit
+from repro.request import mapping_seed
 from repro.techmap.mapped import MappedNetlist, technology_map
 
 #: Circuit subset used by quick (default) bench runs.
@@ -103,9 +104,14 @@ def load_suite(
     scale: float = 1.0,
     seed: int = 1994,
 ) -> List[SuiteCircuit]:
-    """Load (and memoize) a benchmark suite at the given scale."""
+    """Load (and memoize) a benchmark suite at the given scale.
+
+    Circuits are generated at :func:`~repro.request.mapping_seed` of
+    ``seed``, the rule every request maps by, so a table that inspects
+    the suite and a table that partitions it see the same netlists.
+    """
     names = tuple(circuits) if circuits else BENCHMARK_NAMES
-    return list(_load_suite_cached(names, scale, seed))
+    return list(_load_suite_cached(names, scale, mapping_seed(seed)))
 
 
 def run_manifest(

@@ -129,6 +129,10 @@ def netlist_fingerprint(mapped: Any) -> str:
     I/O pads -- everything the carve flow reads.  Truth tables are
     excluded deliberately: two circuits with identical connectivity
     partition identically.
+
+    The payload already holds only strings and lists (supports sorted),
+    so it is rendered directly, skipping :func:`_jsonable`'s copy;
+    :func:`canonical_json` gives the same bytes for it.
     """
     payload = {
         "name": mapped.name,
@@ -144,7 +148,8 @@ def netlist_fingerprint(mapped: Any) -> str:
             for cell in mapped.cells
         ],
     }
-    return fingerprint(payload)
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def config_fingerprint(config: Dict[str, Any]) -> str:

@@ -77,9 +77,12 @@ def verify_solution(
                 )
 
     # ---- support closure ------------------------------------------------
-    # Only the live net names are used; building ``nets()`` is the costly
-    # part of a verify, so it runs once.
-    live = set(mapped.nets())
+    # The live nets -- the keys of ``mapped.nets()``: every net a cell
+    # reads plus every primary output -- without building the driver and
+    # sink records that the checks never read.
+    live: Set[str] = set(mapped.primary_outputs)
+    for cell in mapped.cells:
+        live.update(cell.inputs)
     for block in solution.blocks:
         for orig, inputs, outputs in zip(
             block.originals, block.cell_inputs, block.cell_outputs

@@ -221,6 +221,14 @@ def _require(cond: bool, message: str) -> None:
         raise RequestError(message)
 
 
+def mapping_seed(seed: int) -> int:
+    """The seed a circuit is generated and mapped at for a run seed:
+    ``seed or 1994`` (the historical ``repro.api`` behavior), so seed 0
+    maps the recorded circuits.  Every front door and the paper tables'
+    suite loader use this rule."""
+    return seed or 1994
+
+
 @dataclass(frozen=True)
 class PartitionRequest:
     """One solver invocation as a frozen, serializable artifact.
@@ -411,28 +419,36 @@ class PartitionRequest:
             return mapped, None
         return self.delta.apply(mapped)
 
-    def cache_key(self, mapped: Any) -> str:
-        """The solution-cache / ledger ``run_key`` of this request.
+    def keyed_netlist(self, mapped: Any) -> tuple:
+        """``(post-delta netlist, cache key)`` for the *base* netlist
+        ``mapped``: one delta apply and one fingerprint.
 
-        ``mapped`` is the technology-mapped *base* netlist the request
-        resolves to (mapping depends on circuit x scale x seed, so it
-        cannot be derived from the request alone without rebuilding it).
-        A carried delta is applied first -- identity is always the
-        post-delta netlist, never the (delta, base) pair -- so every
-        caller computes the same key whether or not it applied the
-        delta itself.
+        ``mapped`` is the technology-mapped netlist the request resolves
+        to (mapping depends on circuit x scale x seed, so it cannot be
+        derived from the request alone without rebuilding it).  A carried
+        delta is applied first -- identity is always the post-delta
+        netlist, never the (delta, base) pair -- so every caller computes
+        the same key whether or not it applied the delta itself.
         """
         from repro.cache.store import cache_key as store_key
+        from repro.obs import ledger
 
         mapped, _ = self.apply_delta(mapped)
         active = self.resolve_multilevel(mapped.n_cells)
-        return store_key(mapped, self.config(active), self.seed)
+        key = store_key(ledger.netlist_fingerprint(mapped), self.config(active),
+                        self.seed)
+        return mapped, key
+
+    def cache_key(self, mapped: Any) -> str:
+        """The solution-cache / ledger ``run_key`` of this request for
+        the base netlist ``mapped`` (see :meth:`keyed_netlist`)."""
+        return self.keyed_netlist(mapped)[1]
 
     @property
     def mapping_seed(self) -> int:
-        """The seed the technology mapping actually uses (``seed or 1994``,
-        the historical ``repro.api`` behavior)."""
-        return self.seed or 1994
+        """The seed the technology mapping actually uses
+        (:func:`mapping_seed` of the request's seed)."""
+        return mapping_seed(self.seed)
 
     @property
     def netlist_id(self) -> tuple:
@@ -554,6 +570,7 @@ __all__ = [
     "REQUEST_VERBS",
     "RequestError",
     "build_request",
+    "mapping_seed",
     "parse_threshold",
     "threshold_json",
 ]

@@ -217,16 +217,16 @@ class PartitionService:
         Repeat hits on the same key are O(1): the verified result
         document is memoized, so the hot path costs one dict lookup
         after the first request (plus the mapping build, memoized per
-        process by :func:`~repro.batch.worker.mapped_netlist`).
+        process by :func:`~repro.batch.worker.mapped_netlist`, one delta
+        apply and one fingerprint).
         """
         if self.store is None or self.policy != "use":
             return None
-        mapped = mapped_netlist(request)
-        key = request.cache_key(mapped)
+        mapped, key = request.keyed_netlist(mapped_netlist(request))
         memo = self._result_memo.get(key)
         if memo is not None:
             return memo
-        result = api.cached_result(request, store=self.store, mapped=mapped)
+        result = api._cached_lookup(request, self.store, mapped, key)
         if result is None:
             return None
         doc = result.to_dict()

@@ -25,6 +25,7 @@ from repro.cache.store import (
     use_cache,
     validate_entry,
 )
+from repro.obs.ledger import _jsonable, netlist_fingerprint
 from repro.request import build_request
 
 CIRCUIT = "s5378"
@@ -52,7 +53,7 @@ def kway_result(mapped):
 
 def _entry_for(mapped, solution, seed=1994, config=None):
     config = config or {"verb": "partition", "threshold": 1}
-    key = cache_key(mapped, config, seed)
+    key = cache_key(netlist_fingerprint(mapped), config, seed)
     return build_entry(
         kind="partition",
         key=key,
@@ -72,18 +73,26 @@ def _entry_for(mapped, solution, seed=1994, config=None):
 
 def test_cache_key_is_deterministic_and_sensitive(mapped):
     config = {"verb": "partition", "threshold": 1}
-    key = cache_key(mapped, config, 7)
-    assert key == cache_key(mapped, dict(config), 7)
-    assert key != cache_key(mapped, {**config, "threshold": 2}, 7)
-    assert key != cache_key(mapped, config, 8)
+    digest = netlist_fingerprint(mapped)
+    key = cache_key(digest, config, 7)
+    assert key == cache_key(digest, dict(config), 7)
+    assert key != cache_key(digest, {**config, "threshold": 2}, 7)
+    assert key != cache_key(digest, config, 8)
+    assert key != cache_key("0" * 16, config, 7)
 
 
 def test_cache_key_canonicalizes_inf(mapped):
     # float('inf') is not JSON; the ledger canonicalization makes it part
     # of the key rather than an error.
-    a = cache_key(mapped, {"threshold": float("inf")}, 0)
-    b = cache_key(mapped, {"threshold": float("inf")}, 0)
+    digest = netlist_fingerprint(mapped)
+    a = cache_key(digest, {"threshold": float("inf")}, 0)
+    b = cache_key(digest, {"threshold": float("inf")}, 0)
     assert a == b
+
+
+def test_cache_key_takes_the_netlist_hash_not_the_netlist(mapped):
+    with pytest.raises(TypeError, match="netlist hash"):
+        cache_key(mapped, {"verb": "partition"}, 0)
 
 
 def test_short_key_rejected(store):
@@ -104,6 +113,47 @@ def test_put_get_roundtrip_and_sharding(store, mapped, kway_result):
     assert got is not None and got["key"] == entry["key"]
     decoded = decode_solution(got["solution"])
     assert decoded.summary() == kway_result.solution.summary()
+
+
+@pytest.mark.parametrize(
+    "verb, fields",
+    [
+        ("partition", {"threshold": float("inf"), "n_solutions": 1,
+                       "seeds_per_carve": 2, "devices_per_carve": 2}),
+        ("bipartition", {"runs": 2}),
+    ],
+)
+def test_put_writes_the_jsonable_rendering(store, monkeypatch, verb, fields):
+    import copy
+
+    stored = []
+    real_put = SolutionCache.put
+
+    def capturing_put(self, entry):
+        stored.append(copy.deepcopy(entry))
+        return real_put(self, entry)
+
+    monkeypatch.setattr(SolutionCache, "put", capturing_put)
+    with use_cache(store):
+        result = api.run_request(build_request(
+            verb, CIRCUIT, scale=SCALE, seed=1994, cache="use", **fields
+        ))
+    (entry,) = stored
+    with open(result.cache_info["path"], encoding="utf-8") as fh:
+        text = fh.read()
+    assert text == json.dumps(
+        _jsonable(entry), sort_keys=True, separators=(",", ":")
+    ) + "\n"
+    if verb == "partition":
+        assert entry["config"]["threshold"] == "inf"
+
+
+def test_put_refuses_a_non_strict_entry(store, mapped, kway_result):
+    entry = _entry_for(mapped, kway_result.solution)
+    entry["elapsed_seconds"] = float("inf")
+    with pytest.raises(ValueError):
+        store.put(entry)
+    assert store.entries() == []
 
 
 def test_validate_entry_flags_problems(mapped, kway_result):

@@ -56,3 +56,17 @@ class TestTableRendering:
         table = TableResult("T", ["v"], [[1]], notes=["first", "second"])
         text = table.text()
         assert text.index("first") < text.index("second")
+
+
+def test_load_suite_maps_seed_zero_like_every_request():
+    from repro import api
+    from repro.experiments.common import load_suite
+    from repro.obs.ledger import netlist_fingerprint
+    from repro.request import build_request
+
+    (suite,) = load_suite(("s5378",), 0.1, seed=0)
+    request = build_request("bipartition", "s5378", scale=0.1, seed=0)
+    mapped = api.map(
+        request.circuit, scale=request.scale, seed=request.mapping_seed
+    ).solution
+    assert netlist_fingerprint(suite.mapped) == netlist_fingerprint(mapped)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import pytest
 
 from repro import api
 from repro.cache.store import SolutionCache, build_entry, nearest_ancestor, use_cache
+from repro.obs import ledger as obs_ledger
 from repro.core.flow import kway_solution
 from repro.netlist.benchmarks import benchmark_circuit
 from repro.partition.incremental import (
@@ -213,6 +215,85 @@ class TestApiFrontDoor:
         assert "dirty fraction" in warm_info["reason"]
         assert result.ok and result.solution.feasible
 
+    def test_a_repair_failing_verification_falls_back_to_cold(
+        self, eco_mapped, store, base_request, monkeypatch
+    ):
+        import repro.partition.incremental as incremental
+
+        real = incremental.incremental_partition
+
+        def dropping_one_instance(mapped, previous, dirty, config=None):
+            solution, info = real(mapped, previous, dirty, config)
+            if solution is not None:
+                block = next(b for b in solution.blocks if b.cells)
+                for arrays in (block.cells, block.originals,
+                               block.cell_inputs, block.cell_outputs):
+                    arrays.pop()
+            return solution, info
+
+        monkeypatch.setattr(
+            incremental, "incremental_partition", dropping_one_instance
+        )
+        delta = seeded_delta(eco_mapped, fraction=0.01, seed=0)
+        post, _ = delta.apply(eco_mapped)
+        with use_cache(store):
+            api.run_request(base_request, circuit=eco_mapped, cache="use")
+            result = api.run_request(
+                self._eco_request(delta), circuit=eco_mapped, cache="use"
+            )
+            replay = api.run_request(
+                self._eco_request(delta), circuit=eco_mapped, cache="use"
+            )
+        warm_info = result.cache_info["warm"]
+        assert warm_info["mode"] == "cold"
+        assert warm_info["reason"].startswith("repair failed verification: ")
+        assert result.run_log is not None  # the cold cascade solved it
+        assert verify_solution(post, result.solution) == []
+        assert replay.cache_info["status"] == "hit"
+        assert json.dumps(
+            replay.to_dict()["solution"], sort_keys=True
+        ) == json.dumps(result.to_dict()["solution"], sort_keys=True)
+
+    def test_one_fingerprint_per_netlist_per_request(
+        self, eco_mapped, tmp_path, base_request, monkeypatch
+    ):
+        real = obs_ledger.netlist_fingerprint
+        calls = []
+
+        def counting(mapped):
+            calls.append(mapped.name)
+            return real(mapped)
+
+        monkeypatch.setattr(obs_ledger, "netlist_fingerprint", counting)
+
+        def run(request):
+            calls.clear()
+            result = api.run_request(request, circuit=eco_mapped, cache="use")
+            return len(calls), result
+
+        delta = seeded_delta(eco_mapped, fraction=0.01, seed=0)
+        with use_cache(SolutionCache(str(tmp_path / "plain"))):
+            n, cold = run(base_request)
+            assert (n, cold.cache_info["status"]) == (1, "miss")
+            n, hit = run(base_request)
+            assert (n, hit.cache_info["status"]) == (1, "hit")
+            n, warm = run(self._eco_request(delta))
+            assert (n, warm.cache_info["warm"]["mode"]) == (2, "warm")
+        # With delta.base set, one base hash serves the base check and
+        # the ancestor lookup; a ledger reuses the solved netlist's hash.
+        based = dataclasses.replace(delta, base=real(eco_mapped))
+        ledger = obs_ledger.Ledger(str(tmp_path / "ledger"))
+        with use_cache(SolutionCache(str(tmp_path / "based"))), \
+                obs_ledger.use_ledger(ledger):
+            n, cold = run(base_request)
+            assert (n, cold.cache_info["status"]) == (1, "miss")
+            n, warm = run(self._eco_request(based))
+            assert (n, warm.cache_info["warm"]["mode"]) == (2, "warm")
+        assert warm.run_record["run_key"] == warm.cache_info["key"]
+        with open(warm.cache_info["path"], encoding="utf-8") as fh:
+            entry = json.load(fh)
+        assert entry["netlist_hash"] == warm.run_record["netlist_hash"]
+
     def test_fixed_terminal_delta_rejected(self, eco_mapped, base_request):
         po_driver = next(
             c for c in eco_mapped.cells
@@ -275,3 +356,31 @@ class TestNearestAncestor:
 
     def test_empty_store_returns_none(self, tmp_path):
         assert nearest_ancestor(SolutionCache(str(tmp_path)), "h1") is None
+
+    def test_exact_key_is_read_without_listing_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        store = SolutionCache(str(tmp_path))
+        for i in range(500):
+            store.put(self._entry(f"{i:04x}ffff", f"other{i}", "cfgA", 7))
+        key = obs_ledger.run_key("h1", "cfgA", 7)
+        store.put(self._entry(key, "h1", "cfgA", 7))
+
+        def listing(self):
+            raise AssertionError("nearest_ancestor listed the store")
+
+        monkeypatch.setattr(SolutionCache, "entries", listing)
+        best = nearest_ancestor(store, "h1", config_fp="cfgA", seed=7)
+        assert best["key"] == key
+
+    def test_corrupt_exact_entry_heals_and_the_scan_answers(self, tmp_path):
+        store = SolutionCache(str(tmp_path))
+        store.put(self._entry("bbb2", "h1", "cfgA", 1))
+        key = obs_ledger.run_key("h1", "cfgA", 7)
+        path = store.path_for(key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write('{"torn": ')
+        best = nearest_ancestor(store, "h1", config_fp="cfgA", seed=7)
+        assert best["key"] == "bbb2"
+        assert not os.path.exists(path)

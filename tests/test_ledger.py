@@ -64,6 +64,53 @@ def test_fingerprint_stability(small_mapped):
     assert netlist_fingerprint(small_mapped) != netlist_fingerprint(other)
 
 
+def _jsonable_route_fingerprint(mapped):
+    """The netlist digest as every revision before the direct render
+    computed it: the same payload through ``canonical_json``'s
+    ``_jsonable`` copy."""
+    return fingerprint(
+        {
+            "name": mapped.name,
+            "pis": list(mapped.primary_inputs),
+            "pos": list(mapped.primary_outputs),
+            "cells": [
+                [
+                    cell.name,
+                    list(cell.inputs),
+                    list(cell.outputs),
+                    [sorted(sup) for sup in cell.supports],
+                ]
+                for cell in mapped.cells
+            ],
+        }
+    )
+
+
+def test_netlist_fingerprint_pins_the_flat_golden_hash():
+    # The committed flat ledger golden (results/ledger/golden/
+    # partition_s5378_quick.jsonl) solved s5378 @0.25 at mapping seed 1994.
+    mapped = map_circuit("s5378", scale=0.25, seed=1994)
+    assert netlist_fingerprint(mapped) == "e6c8b2f93f78a0c6"
+    assert _jsonable_route_fingerprint(mapped) == "e6c8b2f93f78a0c6"
+
+
+def test_netlist_fingerprint_equals_the_jsonable_route(
+    small_mapped, tiny_netlist, seq_netlist
+):
+    from repro.netlist.benchmarks import BENCHMARK_NAMES
+    from repro.techmap.delta import seeded_delta
+    from repro.techmap.mapped import technology_map
+
+    netlists = [map_circuit(name, scale=0.1, seed=1994) for name in BENCHMARK_NAMES]
+    netlists.append(seeded_delta(netlists[-1], fraction=0.05, seed=3).apply(
+        netlists[-1])[0])
+    netlists += [small_mapped, technology_map(tiny_netlist),
+                 technology_map(seq_netlist)]
+    for mapped in netlists:
+        assert netlist_fingerprint(mapped) == _jsonable_route_fingerprint(mapped), (
+            mapped.name)
+
+
 def test_run_key_depends_on_all_components():
     base = run_key("n", config_fingerprint({"t": 1}), 3)
     assert base == run_key("n", config_fingerprint({"t": 1}), 3)

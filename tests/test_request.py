@@ -156,7 +156,10 @@ def test_cache_key_matches_ledger_run_key():
         request.seed,
     )
     assert request.cache_key(mapped) == expected
-    assert cache_key(mapped, request.config(use_ml), request.seed) == expected
+    assert request.keyed_netlist(mapped) == (mapped, expected)
+    assert cache_key(
+        netlist_fingerprint(mapped), request.config(use_ml), request.seed
+    ) == expected
 
 
 def test_cache_key_stable_across_round_trip():

@@ -121,6 +121,42 @@ def test_client_quota_reasons():
     assert quota.admit("bob", 0) is None
 
 
+def test_hot_lookup_applies_the_delta_and_fingerprints_once(tmp_path, monkeypatch):
+    from repro.batch.worker import mapped_netlist
+    from repro.obs import ledger as obs_ledger
+    from repro.techmap.delta import NetlistDelta, seeded_delta
+
+    base = mapped_netlist(quick_request())
+    delta = seeded_delta(base, fraction=0.02, seed=1)
+    request = quick_request(delta=delta.to_dict(), cache="use")
+    service = PartitionService(workers=1, cache="use", cache_dir=str(tmp_path))
+    with use_cache(service.store):
+        solved = api.run_request(request, circuit=base)
+    assert solved.cache_info["status"] == "miss"
+
+    counts = {"apply": 0, "fingerprint": 0}
+    real_apply = NetlistDelta.apply
+    real_fingerprint = obs_ledger.netlist_fingerprint
+
+    def counting_apply(self, mapped):
+        counts["apply"] += 1
+        return real_apply(self, mapped)
+
+    def counting_fingerprint(mapped):
+        counts["fingerprint"] += 1
+        return real_fingerprint(mapped)
+
+    monkeypatch.setattr(NetlistDelta, "apply", counting_apply)
+    monkeypatch.setattr(obs_ledger, "netlist_fingerprint", counting_fingerprint)
+    doc = service._hot_result(request)
+    assert counts == {"apply": 1, "fingerprint": 1}
+    assert doc["cache_info"]["status"] == "hit"
+    assert doc["cache_info"]["key"] == solved.cache_info["key"]
+    assert doc["solution"] == solved.to_dict()["solution"]
+    # The public lookup answers the same document.
+    assert api.cached_result(request, store=service.store).to_dict() == doc
+
+
 # ---------------------------------------------------------------------------
 # Live server over real sockets
 # ---------------------------------------------------------------------------
