@@ -36,25 +36,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Union
 
 from repro.partition.devices import library_by_name
-from repro.request import (
-    BIPARTITION_PARAMS,
-    COMMON_PARAMS,
-    PARTITION_PARAMS,
-    PartitionRequest,
-    RequestError,
-    build_request,
-)
-from repro.request import parse_threshold as _request_threshold
+from repro.request import REQUEST_VERBS, VERB_PARAMS, PartitionRequest, build_request
 
 #: Manifest identifier expected in the ``schema`` field.
 MANIFEST_SCHEMA_NAME = "repro-batch-manifest/1"
 
 #: Report identifier stamped into every batch report.
 REPORT_SCHEMA_NAME = "repro-batch-report/1"
-
-#: Verbs a manifest job may use (the cacheable request verbs).
-JOB_VERBS = ("partition", "bipartition")
-
 
 class ManifestError(ValueError):
     """A manifest that cannot be expanded into valid jobs."""
@@ -83,16 +71,6 @@ class BatchJob:
     cancel_path: Optional[str] = None
 
 
-def parse_threshold(value: Any) -> Union[int, float]:
-    """A job threshold: a number, or ``"inf"`` for the no-replication
-    baseline (:func:`repro.request.parse_threshold`, raising
-    :class:`ManifestError`)."""
-    try:
-        return _request_threshold(value)
-    except RequestError as exc:
-        raise ManifestError(str(exc)) from None
-
-
 def threshold_label(threshold: Union[int, float]) -> str:
     """The manifest/JSON spelling of a threshold (inverse of parsing)."""
     return "inf" if threshold == float("inf") else str(int(threshold))
@@ -100,12 +78,12 @@ def threshold_label(threshold: Union[int, float]) -> str:
 
 _META_KEYS = ("verb", "circuit", "seed", "seeds", "priority")
 
-# A job may set the common fields plus its verb's tunables; whatever
-# neither the job nor ``defaults`` supplies comes from the request
-# defaults tables, the same ones PartitionRequest uses.
+# A job may set the fields that name its verb's solve
+# (:data:`repro.request.VERB_PARAMS`); whatever neither the job nor
+# ``defaults`` supplies takes the request's declared default.
 
 #: Every field any verb knows -- a default outside this set is a typo.
-_ALL_PARAMS = set(COMMON_PARAMS) | set(PARTITION_PARAMS) | set(BIPARTITION_PARAMS)
+_ALL_PARAMS = frozenset(name for params in VERB_PARAMS.values() for name in params)
 
 
 def _job_params(
@@ -122,8 +100,7 @@ def _job_params(
     it at all.  A field set on the *job itself* must be valid for its
     verb.  Whatever neither sets takes the request's default.
     """
-    known = set(COMMON_PARAMS)
-    known.update(PARTITION_PARAMS if verb == "partition" else BIPARTITION_PARAMS)
+    known = VERB_PARAMS[verb]
     params: Dict[str, Any] = {}
     for key, value in defaults.items():
         if key in _META_KEYS:
@@ -150,7 +127,7 @@ def _job_params(
 def _job_seeds(raw: Dict[str, Any], where: str) -> List[int]:
     if "seeds" in raw and "seed" in raw:
         raise ManifestError(f"{where}: give either 'seed' or 'seeds', not both")
-    seeds = raw.get("seeds", [raw.get("seed", 0)])
+    seeds = raw.get("seeds", [raw.get("seed", PartitionRequest.seed)])
     if not isinstance(seeds, list) or not seeds:
         raise ManifestError(f"{where}: 'seeds' must be a non-empty list")
     for seed in seeds:
@@ -194,8 +171,10 @@ def expand_manifest(manifest: Dict[str, Any]) -> List[BatchJob]:
             meta.pop("seeds", None)
         meta.update(raw)
         verb = meta.get("verb", "partition")
-        if verb not in JOB_VERBS:
-            raise ManifestError(f"{where}: unknown verb {verb!r}; known: {JOB_VERBS}")
+        if verb not in REQUEST_VERBS:
+            raise ManifestError(
+                f"{where}: unknown verb {verb!r}; known: {REQUEST_VERBS}"
+            )
         circuit = meta.get("circuit")
         if not isinstance(circuit, str) or not circuit:
             raise ManifestError(f"{where}: 'circuit' must be a non-empty string")
@@ -240,12 +219,10 @@ def load_manifest(path: str) -> Dict[str, Any]:
 
 __all__ = [
     "BatchJob",
-    "JOB_VERBS",
     "MANIFEST_SCHEMA_NAME",
     "ManifestError",
     "REPORT_SCHEMA_NAME",
     "expand_manifest",
     "load_manifest",
-    "parse_threshold",
     "threshold_label",
 ]

@@ -36,13 +36,21 @@ import contextlib
 import json
 import os
 import sys
-from typing import Any, Iterator, List, Optional, Union
+from dataclasses import Field
+from enum import Enum
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.netlist.bench_io import load_bench
 from repro.netlist.benchmarks import BENCHMARK_NAMES, benchmark_circuit
 from repro.netlist.netlist import Netlist
 from repro.netlist.stats import mapped_stats, netlist_stats
-from repro.request import BIPARTITION_PARAMS, PARTITION_PARAMS
+from repro.request import (
+    MAPPING_SEED,
+    VERB_FIELDS,
+    VERB_PARAMS,
+    RequestError,
+    build_request,
+)
 from repro.techmap.mapped import technology_map
 
 
@@ -68,51 +76,72 @@ def _resolve_circuit(spec: str, scale: float, seed: int) -> Netlist:
 def _add_circuit_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("circuit", help="benchmark name or .bench file")
     parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=1994)
+    parser.add_argument("--seed", type=int, default=MAPPING_SEED)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 
 
-def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
+#: The command line's own defaults, the only ones it does not take from
+#: the request declaration: both ledger goldens pin seed 1994, and a
+#: command-line bipartition runs five starts, not the paper's twenty.
+CLI_DEFAULTS: Dict[str, Dict[str, Any]] = {
+    "bipartition": {"seed": MAPPING_SEED, "runs": 5},
+    "partition": {"seed": MAPPING_SEED},
+}
+
+
+def _flag_type(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    """A declared parser as an argparse ``type``: its
+    :class:`~repro.request.RequestError` becomes the flag's error."""
+
+    def convert(text: str) -> Any:
+        try:
+            return parse(text)
+        except RequestError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    convert.__name__ = getattr(parse, "__name__", "value")
+    return convert
+
+
+def _add_field_flag(
+    parser: argparse.ArgumentParser, spec: Field, verb: str, suppress: bool = True
+) -> None:
+    """The flag of one request field, as its declaration says it parses.
+
+    With ``suppress`` an absent flag leaves the field out of the
+    namespace, so the request takes its declared default (or the command
+    line's own); otherwise the namespace holds that default.
+    """
+    meta = spec.metadata
+    cli = meta["cli"]
+    default = CLI_DEFAULTS[verb].get(
+        spec.name, VERB_PARAMS[verb].get(spec.name, spec.default)
+    )
+    kwargs: Dict[str, Any] = {
+        "dest": spec.name,
+        "default": argparse.SUPPRESS if suppress else default,
+    }
+    if cli is bool:
+        kwargs["action"] = argparse.BooleanOptionalAction
+    elif isinstance(cli, type) and issubclass(cli, Enum):
+        kwargs["choices"] = [member.value for member in cli]
+    else:
+        kwargs["type"] = _flag_type(cli)
+    help_text = meta["help"] or ""
+    if default is not None and cli is not bool:
+        help_text += f" (default: {getattr(default, 'value', default)})"
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the multi-start/candidate scans "
-        "(1 = sequential, 0 = all cores; results are identical per seed)",
+        meta["flag"] or "--" + spec.name.replace("_", "-"), help=help_text, **kwargs
     )
 
 
-def _add_multilevel_arg(parser: argparse.ArgumentParser) -> None:
+def _add_cache_dir_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--multilevel",
-        action=argparse.BooleanOptionalAction,
+        "--cache-dir",
+        metavar="DIR",
         default=None,
-        help="coarsen-solve-uncoarsen V-cycle engine; default: auto-on for "
-        "netlists with >= 20k cells (--no-multilevel forces the flat engines)",
-    )
-
-
-def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--deadline",
-        type=_json_number,
-        default=None,
-        metavar="SECONDS",
-        help="overall wall-clock budget, split over retries and engine "
-        "fallbacks; returns the best solution found in time",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        help="extra attempts per engine before degrading (default 2 once "
-        "--deadline or --no-fallback is given, else 0)",
-    )
-    parser.add_argument(
-        "--no-fallback",
-        action="store_true",
-        help="disable the fm+functional -> fm+traditional -> fm cascade",
+        help="solution-cache directory (default: the REPRO_CACHE env var, "
+        "otherwise results/cache)",
     )
 
 
@@ -187,51 +216,14 @@ def _observability(args: argparse.Namespace) -> Iterator[Optional[str]]:
         registry.close()
 
 
-def _json_number(text: str) -> Union[int, float]:
-    """A numeric flag read the way JSON reads it: ``1`` is the int every
-    other front door sends (cache keys tell ``1`` from ``1.0``), ``0.5``
-    and ``inf`` are floats."""
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
-def _read_delta(path: Optional[str]) -> Optional[dict]:
-    if not path:
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read delta {path!r}: {exc}") from exc
-
-
 def _request_from_args(args: argparse.Namespace) -> Any:
-    """The :class:`~repro.request.PartitionRequest` the flags describe."""
-    from repro.request import RequestError, build_request
-
-    fields: dict = dict(
-        scale=args.scale,
-        seed=args.seed,
-        threshold=args.threshold,
-        multilevel=args.multilevel,
-        jobs=args.jobs,
-        deadline=args.deadline,
-        max_retries=args.max_retries,
-        fallback=False if args.no_fallback else None,
-    )
-    if args.command == "bipartition":
-        fields.update(algorithm=args.algorithm, runs=args.runs)
-    else:
-        with contextlib.suppress(ValueError):  # the request names bad ones
-            fields["threshold"] = _json_number(args.threshold)
-        fields.update(
-            n_solutions=args.solutions,
-            delta=_read_delta(args.delta),
-            warm_start=args.warm_start,
-            cache=args.cache,
-        )
+    """The :class:`~repro.request.PartitionRequest` the flags describe:
+    every field a flag set, over the command line's own defaults."""
+    fields = {
+        spec.name: getattr(args, spec.name)
+        for spec in VERB_FIELDS[args.command]
+        if spec.metadata["cli"] and hasattr(args, spec.name)
+    }
     try:
         return build_request(args.command, args.circuit, **fields)
     except RequestError as exc:
@@ -294,7 +286,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         trace_path = scope.enter_context(_observability(args))
         if args.ledger:
             scope.enter_context(use_ledger(Ledger(args.ledger)))
-        if getattr(args, "cache_dir", None):
+        if args.cache_dir:
             scope.enter_context(use_cache(SolutionCache(args.cache_dir)))
         ledger = resolve_ledger()
         mapped = technology_map(
@@ -722,15 +714,12 @@ def _cmd_batch_manifest(args: argparse.Namespace) -> int:
     from repro.batch.manifest import ManifestError, expand_manifest
     from repro.experiments import tables4to7
 
-    thresholds = []
-    for spec in args.thresholds:
-        thresholds.append(float("inf") if spec == "inf" else float(spec))
     manifest = tables4to7.sweep_manifest(
         circuits=args.circuits,
         scale=args.scale,
         seed=args.seed,
-        thresholds=thresholds,
-        n_solutions=args.solutions,
+        thresholds=args.thresholds or tables4to7.DEFAULT_THRESHOLDS,
+        n_solutions=args.n_solutions,
         seeds_per_carve=args.seeds_per_carve,
         devices_per_carve=args.devices_per_carve,
     )
@@ -939,71 +928,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_circuit_args(p_map)
     p_map.set_defaults(func=_cmd_map)
 
-    p_bi = sub.add_parser("bipartition", help="equal-size min-cut bipartitioning")
-    _add_circuit_args(p_bi)
-    p_bi.add_argument(
-        "--algorithm",
-        choices=["fm", "fm+functional", "fm+traditional"],
-        default="fm+functional",
-    )
-    p_bi.add_argument("--runs", type=int, default=5)
-    p_bi.add_argument(
-        "--threshold", type=int, default=BIPARTITION_PARAMS["threshold"]
-    )
-    _add_multilevel_arg(p_bi)
-    _add_jobs_arg(p_bi)
-    _add_resilience_args(p_bi)
-    _add_obs_args(p_bi)
-    p_bi.set_defaults(func=_cmd_solve)
-
-    p_kw = sub.add_parser("partition", help="heterogeneous k-way partitioning")
-    _add_circuit_args(p_kw)
-    p_kw.add_argument(
-        "--threshold",
-        default=str(PARTITION_PARAMS["threshold"]),
-        help="T (int or 'inf')",
-    )
-    p_kw.add_argument("--solutions", type=int, default=2)
-    p_kw.add_argument(
-        "--verify",
-        action="store_true",
-        help="run the independent solution checker; non-zero exit on violations",
-    )
-    p_kw.add_argument(
-        "--delta",
-        metavar="PATH",
-        default=None,
-        help="apply an ECO delta document (repro-netlist-delta/1) to the "
-        "mapped netlist before solving; enables warm-start repair from a "
-        "cached ancestor solve",
-    )
-    p_kw.add_argument(
-        "--warm-start",
-        dest="warm_start",
-        metavar="KEY",
-        default=None,
-        help="warm-start policy for delta solves: a cache key to seed from, "
-        "'auto' (nearest cached ancestor, the default), or 'off'",
-    )
-    p_kw.add_argument(
-        "--cache",
-        choices=("off", "use", "refresh"),
-        default="off",
-        help="solution cache policy (default off; 'use' is required for "
-        "warm-start repair)",
-    )
-    p_kw.add_argument(
-        "--cache-dir",
-        dest="cache_dir",
-        metavar="DIR",
-        default=None,
-        help="cache directory (default: REPRO_CACHE, otherwise results/cache)",
-    )
-    _add_multilevel_arg(p_kw)
-    _add_jobs_arg(p_kw)
-    _add_resilience_args(p_kw)
-    _add_obs_args(p_kw)
-    p_kw.set_defaults(func=_cmd_solve)
+    for verb, help_text in (
+        ("bipartition", "equal-size min-cut bipartitioning"),
+        ("partition", "heterogeneous k-way partitioning"),
+    ):
+        p_solve = sub.add_parser(verb, help=help_text)
+        p_solve.add_argument("circuit", help="benchmark name or .bench file")
+        for spec in VERB_FIELDS[verb]:
+            if spec.metadata["cli"]:
+                _add_field_flag(p_solve, spec, verb)
+        p_solve.set_defaults(func=_cmd_solve, **CLI_DEFAULTS[verb])
+        p_solve.add_argument(
+            "--json", action="store_true", help="machine-readable output"
+        )
+        _add_cache_dir_arg(p_solve)
+        _add_obs_args(p_solve)
+        if verb == "partition":
+            p_solve.add_argument(
+                "--verify",
+                action="store_true",
+                help="run the independent solution checker; non-zero exit "
+                "on violations",
+            )
 
     p_delta = sub.add_parser(
         "delta",
@@ -1017,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dd.add_argument("old", help="benchmark name or .bench file (pre-ECO)")
     p_dd.add_argument("new", help="benchmark name or .bench file (post-ECO)")
     p_dd.add_argument("--scale", type=float, default=1.0)
-    p_dd.add_argument("--seed", type=int, default=1994, help="mapping seed")
+    p_dd.add_argument("--seed", type=int, default=MAPPING_SEED, help="mapping seed")
     p_dd.add_argument("--out", metavar="PATH", default=None)
     p_dd.set_defaults(func=_cmd_delta)
     p_dg = delta_sub.add_parser(
@@ -1026,7 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dg.add_argument("circuit", help="benchmark name or .bench file")
     p_dg.add_argument("--scale", type=float, default=1.0)
-    p_dg.add_argument("--seed", type=int, default=1994, help="mapping seed")
+    p_dg.add_argument("--seed", type=int, default=MAPPING_SEED, help="mapping seed")
     p_dg.add_argument(
         "--fraction",
         type=float,
@@ -1052,7 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
         "circuit", nargs="?", default=None, help="benchmark name or .bench file"
     )
     p_an.add_argument("--scale", type=float, default=1.0)
-    p_an.add_argument("--seed", type=int, default=1994)
+    p_an.add_argument("--seed", type=int, default=MAPPING_SEED)
     p_an.add_argument("--json", action="store_true", help="machine-readable output")
     p_an.add_argument(
         "--metrics",
@@ -1082,7 +1028,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument("--scale", type=float, default=0.5)
     p_exp.add_argument("--circuits", nargs="*", default=None)
-    p_exp.add_argument("--seed", type=int, default=1994)
+    p_exp.add_argument("--seed", type=int, default=MAPPING_SEED)
     p_exp.add_argument("--runs", type=int, default=20)
     p_exp.set_defaults(func=_cmd_experiment)
 
@@ -1172,15 +1118,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch_sub = p_batch.add_subparsers(dest="batch_command", required=True)
 
-    def _cache_dir_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--cache-dir",
-            metavar="PATH",
-            default=None,
-            help="solution-cache directory (default results/cache, "
-            "or the REPRO_CACHE env var)",
-        )
-
     p_br = batch_sub.add_parser(
         "run", help="execute every job of a manifest; exit 1 on failures"
     )
@@ -1198,7 +1135,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="use",
         help="solution-cache policy for every job (default use)",
     )
-    _cache_dir_arg(p_br)
+    _add_cache_dir_arg(p_br)
     p_br.add_argument(
         "--deadline",
         type=float,
@@ -1244,20 +1181,19 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["tables4to7"],
         help="which manifest to generate",
     )
+    partition_fields = {spec.name: spec for spec in VERB_FIELDS["partition"]}
     p_bm.add_argument("--circuits", nargs="*", default=None)
-    p_bm.add_argument("--scale", type=float, default=1.0)
-    p_bm.add_argument("--seed", type=int, default=1994)
     p_bm.add_argument(
         "--thresholds",
         nargs="+",
-        default=["inf", "0", "1", "2", "3"],
+        type=_flag_type(partition_fields["threshold"].metadata["cli"]),
+        default=None,
         metavar="T",
-        help="replication thresholds ('inf' or numbers; "
-        "default: inf 0 1 2 3)",
+        help="replication thresholds ('inf' or numbers; default: inf 0 1 2 3)",
     )
-    p_bm.add_argument("--solutions", type=int, default=2)
-    p_bm.add_argument("--seeds-per-carve", type=int, default=3)
-    p_bm.add_argument("--devices-per-carve", type=int, default=3)
+    for name in ("scale", "seed", "n_solutions", "seeds_per_carve",
+                 "devices_per_carve"):
+        _add_field_flag(p_bm, partition_fields[name], "partition", suppress=False)
     p_bm.add_argument(
         "--out", metavar="PATH", default=None, help="write here (default stdout)"
     )
@@ -1284,14 +1220,14 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
 
     p_cs = cache_sub.add_parser("stats", help="entry/byte counts and location")
-    _cache_dir_arg(p_cs)
+    _add_cache_dir_arg(p_cs)
     p_cs.add_argument("--json", action="store_true")
     p_cs.set_defaults(func=_cmd_cache_stats)
 
     p_ce = cache_sub.add_parser(
         "evict", help="LRU-evict entries down to the size cap"
     )
-    _cache_dir_arg(p_ce)
+    _add_cache_dir_arg(p_ce)
     p_ce.add_argument(
         "--max-bytes",
         type=int,
@@ -1329,13 +1265,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="use",
         help="solution-cache policy for served jobs (default use)",
     )
-    p_serve.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        default=None,
-        help="solution-cache directory (default results/cache, "
-        "or the REPRO_CACHE env var)",
-    )
+    _add_cache_dir_arg(p_serve)
     p_serve.add_argument(
         "--rate",
         type=float,

@@ -1,8 +1,9 @@
 """Experiment harness: one module per table/figure of the paper.
 
-Every module exposes ``run(...) -> TableResult`` and a CLI entry point::
+Every table module exposes ``run(...) -> TableResult`` (``tables4to7``:
+``run_all``); the command-line entry point is ``repro experiment``::
 
-    python -m repro.experiments.table3 --scale 0.4 --runs 20
+    repro-fpga experiment table3 --scale 0.4 --runs 20
 
 Modules: ``table1`` (device library), ``table2`` (benchmark
 characteristics), ``figure3`` (replication-potential distributions),

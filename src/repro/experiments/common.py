@@ -15,7 +15,6 @@ inspect the mapped circuits (Table II, Figure 3).
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -134,26 +133,6 @@ def run_manifest(
     if bad:
         raise RuntimeError(f"batch {batch.name!r} left jobs without results: {bad}")
     return batch
-
-
-def standard_parser(description: str) -> argparse.ArgumentParser:
-    """Common CLI flags shared by every experiment module."""
-    parser = argparse.ArgumentParser(description=description)
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=0.5,
-        help="benchmark size factor (1.0 = published circuit sizes)",
-    )
-    parser.add_argument(
-        "--circuits",
-        nargs="*",
-        default=None,
-        metavar="NAME",
-        help=f"circuit subset (default: all of {', '.join(BENCHMARK_NAMES)})",
-    )
-    parser.add_argument("--seed", type=int, default=1994, help="generator seed")
-    return parser
 
 
 def geomean_percent(values: Iterable[float]) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.experiments.common import TableResult, load_suite, standard_parser
+from repro.experiments.common import TableResult, load_suite
 from repro.replication.potential import PotentialDistribution, cell_distribution
 
 
@@ -63,18 +63,3 @@ def ascii_histogram(dist: PotentialDistribution, width: int = 50) -> str:
         bar = "#" * int(round(frac * width))
         lines.append(f"  {label:>16} {100 * frac:5.1f}% {bar}")
     return "\n".join(lines)
-
-
-def main() -> None:
-    parser = standard_parser(__doc__ or "figure3")
-    parser.add_argument("--bars", action="store_true", help="print ASCII bars")
-    args = parser.parse_args()
-    print(run(args.circuits, args.scale, args.seed).text())
-    if args.bars:
-        for dist in distributions(args.circuits, args.scale, args.seed):
-            print()
-            print(ascii_histogram(dist))
-
-
-if __name__ == "__main__":
-    main()

@@ -38,11 +38,3 @@ def run(library: Optional[DeviceLibrary] = None) -> TableResult:
             "(paper scan unreadable); capacities from the XC3000 data book"
         ],
     )
-
-
-def main() -> None:
-    print(run().text())
-
-
-if __name__ == "__main__":
-    main()

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import TableResult, load_suite, standard_parser
+from repro.experiments.common import TableResult, load_suite
 from repro.netlist.stats import mapped_stats
 
 
@@ -35,12 +35,3 @@ def run(
         rows=rows,
         notes=["circuits are synthetic equivalents built to the published ISCAS profiles"],
     )
-
-
-def main() -> None:
-    args = standard_parser(__doc__ or "table2").parse_args()
-    print(run(args.circuits, args.scale, args.seed).text())
-
-
-if __name__ == "__main__":
-    main()

@@ -18,7 +18,6 @@ from repro.experiments.common import (
     TableResult,
     geomean_percent,
     run_manifest,
-    standard_parser,
 )
 
 
@@ -138,15 +137,3 @@ def table(
         rows=rows,
         notes=notes,
     )
-
-
-def main() -> None:
-    parser = standard_parser(__doc__ or "table3")
-    parser.add_argument("--runs", type=int, default=20)
-    parser.add_argument("--threshold", type=int, default=0)
-    args = parser.parse_args()
-    print(run(args.circuits, args.scale, args.seed, args.runs, args.threshold).text())
-
-
-if __name__ == "__main__":
-    main()

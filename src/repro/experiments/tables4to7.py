@@ -22,23 +22,29 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.batch.manifest import MANIFEST_SCHEMA_NAME, threshold_label
 from repro.core.results import KWayReport
-from repro.experiments.common import TableResult, run_manifest, standard_parser
+from repro.experiments.common import TableResult, run_manifest
+from repro.netlist.benchmarks import BENCHMARK_NAMES
+from repro.request import MAPPING_SEED, VERB_PARAMS, threshold_json
 
 INF = float("inf")
 #: The paper's threshold settings: the baseline plus T = 0..3 (its Table IV
 #: note: "T = 0 includes multi-output cells with psi = 0").
 DEFAULT_THRESHOLDS: Tuple[float, ...] = (INF, 0, 1, 2, 3)
 
+#: The declared k-way request defaults the sweep's settings default to.
+_DEFAULTS = VERB_PARAMS["partition"]
+
 
 def sweep_manifest(
     circuits: Optional[Sequence[str]] = None,
-    scale: float = 1.0,
-    seed: int = 1994,
+    scale: float = _DEFAULTS["scale"],
+    seed: int = MAPPING_SEED,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
-    n_solutions: int = 2,
-    seeds_per_carve: int = 3,
-    devices_per_carve: int = 3,
+    n_solutions: int = _DEFAULTS["n_solutions"],
+    seeds_per_carve: int = _DEFAULTS["seeds_per_carve"],
+    devices_per_carve: int = _DEFAULTS["devices_per_carve"],
     scales: Optional[Dict[str, float]] = None,
     name: str = "tables4to7",
 ) -> Dict[str, Any]:
@@ -50,9 +56,6 @@ def sweep_manifest(
     (strict JSON).  :func:`sweep` runs it; ``repro batch manifest``
     writes it to a file.
     """
-    from repro.batch.manifest import MANIFEST_SCHEMA_NAME
-    from repro.netlist.benchmarks import BENCHMARK_NAMES
-
     names = tuple(circuits) if circuits else BENCHMARK_NAMES
     jobs: List[Dict[str, Any]] = []
     for circuit in names:
@@ -61,7 +64,7 @@ def sweep_manifest(
                 {
                     "circuit": circuit,
                     "scale": (scales or {}).get(circuit, scale),
-                    "threshold": "inf" if t == INF else t,
+                    "threshold": threshold_json(t),
                 }
             )
     return {
@@ -93,30 +96,19 @@ def reports_from_batch(report: Any) -> Dict[Tuple[str, float], KWayReport]:
 
 def sweep(
     circuits: Optional[Sequence[str]] = None,
-    scale: float = 1.0,
-    seed: int = 1994,
+    scale: float = _DEFAULTS["scale"],
+    seed: int = MAPPING_SEED,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
-    n_solutions: int = 2,
-    seeds_per_carve: int = 3,
-    devices_per_carve: int = 3,
+    **settings: Any,
 ) -> Dict[Tuple[str, float], KWayReport]:
-    """Run the T-sweep through the batch scheduler on every core.
+    """Run the T-sweep through the batch scheduler on every core;
+    ``settings`` are :func:`sweep_manifest`'s carve settings.
 
     A repeated sweep on the same cache replays bit-identical reports,
     the CPU-seconds columns included (a hit reports the original solve
     time).
     """
-    batch = run_manifest(
-        sweep_manifest(
-            circuits,
-            scale,
-            seed,
-            thresholds,
-            n_solutions,
-            seeds_per_carve,
-            devices_per_carve,
-        )
-    )
+    batch = run_manifest(sweep_manifest(circuits, scale, seed, thresholds, **settings))
     return reports_from_batch(batch)
 
 
@@ -127,16 +119,12 @@ def _circuit_names(data: Dict[Tuple[str, float], KWayReport]) -> List[str]:
     return list(seen)
 
 
-def _threshold_label(t: float) -> str:
-    return "inf" if t == INF else str(int(t))
-
-
 def _infeasible_notes(data: Dict[Tuple[str, float], KWayReport]) -> List[str]:
     """One note naming every (circuit, T) whose solution is infeasible:
     such a solution still has a cost and utilizations, so its row
     prints like any other."""
     rows = [
-        f"{name} T={_threshold_label(t)}"
+        f"{name} T={threshold_label(t)}"
         for (name, t), report in data.items()
         if not report.feasible
     ]
@@ -151,7 +139,7 @@ def _infeasible_notes(data: Dict[Tuple[str, float], KWayReport]) -> List[str]:
 def table4(data: Dict[Tuple[str, float], KWayReport], scale: float) -> TableResult:
     """Table IV: % replicated cells per T and CPU seconds."""
     thresholds = [t for t in DEFAULT_THRESHOLDS if t != INF]
-    headers = ["Circuit"] + [f"T={_threshold_label(t)} %" for t in thresholds] + [
+    headers = ["Circuit"] + [f"T={threshold_label(t)} %" for t in thresholds] + [
         "CPU s (T=1)",
         "CPU s (no repl)",
     ]
@@ -310,37 +298,15 @@ def _fmt_devices(counts: Dict[str, int]) -> str:
 
 def run_all(
     circuits: Optional[Sequence[str]] = None,
-    scale: float = 1.0,
-    seed: int = 1994,
-    n_solutions: int = 2,
-    seeds_per_carve: int = 3,
+    scale: float = _DEFAULTS["scale"],
+    seed: int = MAPPING_SEED,
+    **settings: Any,
 ) -> List[TableResult]:
-    data = sweep(
-        circuits,
-        scale,
-        seed,
-        n_solutions=n_solutions,
-        seeds_per_carve=seeds_per_carve,
-    )
+    """Tables IV-VII from one :func:`sweep`."""
+    data = sweep(circuits, scale, seed, **settings)
     return [
         table4(data, scale),
         table5(data, scale),
         table6(data, scale),
         table7(data, scale),
     ]
-
-
-def main() -> None:
-    parser = standard_parser(__doc__ or "tables4to7")
-    parser.add_argument("--solutions", type=int, default=2)
-    parser.add_argument("--seeds-per-carve", type=int, default=3)
-    args = parser.parse_args()
-    for table in run_all(
-        args.circuits, args.scale, args.seed, args.solutions, args.seeds_per_carve
-    ):
-        print(table.text())
-        print()
-
-
-if __name__ == "__main__":
-    main()

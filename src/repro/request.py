@@ -16,10 +16,18 @@ dataclass that
 * normalizes the stringly/tri-state knobs into enums:
   :class:`Algorithm`, :class:`CachePolicy` and :class:`MultilevelMode`
   (``multilevel`` also accepts ``true``/``false``/``null``, its
-  documented JSON and manifest spelling);
-* takes every omitted tunable from one per-verb defaults table
-  (:data:`PARTITION_PARAMS`, :data:`BIPARTITION_PARAMS`,
-  :data:`COMMON_PARAMS`), which batch manifests and the CLI read too.
+  documented JSON and manifest spelling).
+
+One declaration
+---------------
+Each field is declared once, in :class:`PartitionRequest`, together
+with the verbs that take it, whether it enters
+:meth:`~PartitionRequest.config`, its range check and how its
+command-line string parses (:func:`_spec`).  Everything else is derived
+from that declaration once, at import: ``config()``, ``to_dict()``, the
+checks of ``__post_init__``, the per-verb defaults :data:`VERB_PARAMS`
+(the fields a batch-manifest job may set) and the fields each verb
+takes (:data:`VERB_FIELDS`, which the CLI turns into flags).
 
 Identity vs. execution fields
 -----------------------------
@@ -37,9 +45,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from enum import Enum
-from typing import Any, Dict, Optional, Union
+from operator import attrgetter
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 #: Version stamped into every request document as ``v``.
 REQUEST_SCHEMA_VERSION = 1
@@ -49,6 +58,11 @@ REQUEST_SCHEMA_NAME = "repro-partition-request/1"
 
 #: Verbs a request may carry (the cacheable solver verbs).
 REQUEST_VERBS = ("bipartition", "partition")
+
+#: The seed a circuit is generated and mapped at for run seed 0 (see
+#: :func:`mapping_seed`): the seed of every recorded table and ledger
+#: golden, and the command line's default ``--seed``.
+MAPPING_SEED = 1994
 
 
 class RequestError(ValueError):
@@ -167,6 +181,11 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise RequestError(message)
+
+
 def parse_threshold(value: Any) -> Union[int, float]:
     """A replication threshold: a number, or ``"inf"``/``"infinity"``
     for the no-replication baseline (strict JSON has no infinity
@@ -188,45 +207,168 @@ def threshold_json(threshold: Union[int, float]) -> Union[int, float, str]:
     return threshold
 
 
-#: Per-verb tunables with their defaults -- the one table the
-#: :class:`PartitionRequest` fields, batch manifests and the CLI all
-#: read.  ``threshold`` is the only tunable both verbs take with
-#: different defaults, so a request that omits it resolves it per verb.
-PARTITION_PARAMS: Dict[str, Any] = {
-    "threshold": 1,
-    "library": "XC3000",
-    "n_solutions": 2,
-    "seeds_per_carve": 3,
-    "devices_per_carve": 3,
-}
-BIPARTITION_PARAMS: Dict[str, Any] = {
-    "runs": 20,
-    "threshold": 0,
-    "balance_tolerance": 0.02,
-    "max_passes": 16,
-    "max_growth": None,
-}
-COMMON_PARAMS: Dict[str, Any] = {
-    "scale": 1.0,
-    "algorithm": "fm+functional",
-    "deadline": None,
-    "max_retries": None,
-    "fallback": None,
-    "multilevel": None,
-}
+def _parse_number(text: str) -> Union[int, float]:
+    """A number typed as text, read the way JSON reads it: ``1`` is the
+    int every other front door sends (cache keys tell ``1`` from
+    ``1.0``), ``0.5`` and ``inf`` (the threshold baseline) are floats."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        raise RequestError(f"{text!r} is not a number") from None
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise RequestError(message)
+def _read_json(path: str) -> Any:
+    """The JSON document at ``path`` (``--delta PATH``)."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise RequestError(f"cannot read {path!r}: {exc}") from exc
 
 
 def mapping_seed(seed: int) -> int:
     """The seed a circuit is generated and mapped at for a run seed:
-    ``seed or 1994`` (the historical ``repro.api`` behavior), so seed 0
-    maps the recorded circuits.  Every front door and the paper tables'
-    suite loader use this rule."""
-    return seed or 1994
+    ``seed or MAPPING_SEED`` (the historical ``repro.api`` behavior), so
+    seed 0 maps the recorded circuits.  Every front door and the paper
+    tables' suite loader use this rule."""
+    return seed or MAPPING_SEED
+
+
+# -- range checks: ``check(name, value)`` returns the normalized value ----
+_Check = Callable[[str, Any], Any]
+
+
+def _at_least(
+    minimum: Optional[int] = None, integer: bool = True, optional: bool = False
+) -> _Check:
+    """An int (or, ``integer=False``, a number) ``>= minimum``; ``None``
+    too when ``optional``."""
+    is_kind = _is_int if integer else _is_number
+    rule = "an integer" if integer else "a number"
+    if minimum is not None:
+        rule += f" >= {minimum}"
+    if optional:
+        rule += " or null"
+
+    def check(name: str, value: Any) -> Any:
+        if value is None and optional:
+            return value
+        _require(is_kind(value) and (minimum is None or value >= minimum),
+                 f"{name}={value!r} must be {rule}")
+        return value
+
+    return check
+
+
+def _text(optional: bool = False) -> _Check:
+    """A non-empty string; ``None`` too when ``optional``."""
+
+    def check(name: str, value: Any) -> Any:
+        if value is None and optional:
+            return value
+        _require(isinstance(value, str) and bool(value),
+                 f"{name} {value!r} must be a non-empty string"
+                 + (" or null" if optional else ""))
+        return value
+
+    return check
+
+
+def _enum(cls: Any) -> _Check:
+    """One of ``cls``'s spellings, normalized to the member."""
+    return lambda name, value: cls.coerce(value)
+
+
+def _verb(name: str, value: Any) -> Any:
+    _require(value in REQUEST_VERBS, f"{name} {value!r} not in {REQUEST_VERBS}")
+    return value
+
+
+def _threshold(name: str, value: Any) -> Any:
+    return parse_threshold(value)
+
+
+def _delta(name: str, value: Any) -> Any:
+    if value is None:
+        return value
+    from repro.techmap.delta import NetlistDelta
+
+    if isinstance(value, NetlistDelta):
+        return value
+    try:
+        return NetlistDelta.from_dict(value)
+    except ValueError as exc:
+        raise RequestError(f"bad delta: {exc}") from exc
+
+
+_PARTITION = ("partition",)
+_BIPARTITION = ("bipartition",)
+
+
+def _spec(
+    default: Any = MISSING,
+    *,
+    verbs: Tuple[str, ...] = REQUEST_VERBS,
+    config: Union[bool, str] = False,
+    check: Optional[_Check] = None,
+    per_verb: Optional[Dict[str, Any]] = None,
+    cli: Any = None,
+    flag: Optional[str] = None,
+    help: Optional[str] = None,
+    dump: Optional[Callable[[Any], Any]] = None,
+    omit_none: bool = False,
+    compare: bool = True,
+) -> Any:
+    """One request field and its declaration.
+
+    ``verbs``
+        the verbs that take the field (its flag appears on their
+        subcommands; a ``config`` field enters only their config);
+    ``config``
+        ``True`` when the value enters :meth:`PartitionRequest.config`
+        and so the cache key; ``"marker"`` for ``multilevel``, which
+        enters it only as ``"multilevel": true`` once the V-cycle
+        resolves on.  Either way a batch-manifest job may set it;
+    ``check``
+        the range check / normalizer ``__post_init__`` applies;
+    ``per_verb``
+        a per-verb default taken when the field is omitted (``None``);
+    ``cli``
+        how its command-line string parses: a parser, an :class:`Enum`
+        (its values are the choices) or ``bool`` (a tri-state
+        ``--name/--no-name`` pair); ``None`` keeps it off the CLI;
+    ``flag`` / ``help``
+        the flag's spelling (default ``--field-name``) and help text;
+    ``dump`` / ``omit_none``
+        its JSON spelling when that is not the value itself (an enum
+        field's is its member's value, in ``config()`` too), and whether
+        the document leaves it out while unset (so documents minted
+        before the field existed stay byte-identical).
+    """
+    return field(
+        default=default,
+        compare=compare,
+        metadata={
+            "verbs": verbs, "config": config, "check": check,
+            "per_verb": per_verb, "cli": cli, "flag": flag, "help": help,
+            "dump": dump, "omit_none": omit_none,
+        },
+    )
+
+
+def _enum_dump(f: Field) -> Optional[Callable[[Any], Any]]:
+    """An enum field's JSON and config spelling: its member's value."""
+    return attrgetter("value") if isinstance(f.default, Enum) else None
+
+
+def _default(f: Field, verb: str) -> Any:
+    """The value field ``f`` of a ``verb`` request takes when omitted."""
+    per_verb = f.metadata["per_verb"]
+    return per_verb[verb] if per_verb is not None else f.default
 
 
 @dataclass(frozen=True)
@@ -237,34 +379,91 @@ class PartitionRequest:
     from a JSON document (:meth:`from_json`) or from a batch manifest
     (:func:`repro.batch.manifest.expand_manifest`); every path yields
     the same normalized object, and equal requests are ``==`` and hash
-    alike (usable as memo keys).  Omitted fields take their defaults
-    from the per-verb tables above; an omitted ``threshold`` is 1 for
-    ``partition`` and 0 for ``bipartition``.
+    alike (usable as memo keys).  Omitted fields take their declared
+    defaults; an omitted ``threshold`` is 1 for ``partition`` and 0 for
+    ``bipartition``.
     """
 
-    verb: str
-    circuit: str
-    scale: float = COMMON_PARAMS["scale"]
-    seed: int = 0
-    algorithm: Algorithm = Algorithm(COMMON_PARAMS["algorithm"])
-    #: Omitted (``None``), it takes the verb's table default in
-    #: ``__post_init__``, so the attribute is always a number.
-    threshold: Union[int, float] = None  # type: ignore[assignment]
-    multilevel: MultilevelMode = MultilevelMode.AUTO
+    verb: str = _spec(config=True, check=_verb)
+    circuit: str = _spec(check=_text())
+    scale: float = _spec(
+        1.0, config=True, cli=float,
+        help="circuit size factor (1.0 = the published sizes)",
+    )
+    seed: int = _spec(0, check=_at_least(), cli=int, help="solver seed")
+    algorithm: Algorithm = _spec(
+        Algorithm.FM_FUNCTIONAL, config=True, check=_enum(Algorithm),
+        cli=Algorithm, help="bipartitioning engine family",
+    )
+    threshold: Union[int, float] = _spec(
+        None, config=True, check=_threshold,
+        per_verb={"bipartition": 0, "partition": 1}, cli=_parse_number,
+        dump=threshold_json, help="replication threshold T (a number or 'inf')",
+    )
+    multilevel: MultilevelMode = _spec(
+        MultilevelMode.AUTO, config="marker", check=_enum(MultilevelMode),
+        cli=bool, help="coarsen-solve-uncoarsen V-cycle engine (default: on "
+        "for netlists of >= 20k cells; --no-multilevel keeps the flat engines)",
+    )
     # -- partition tunables (ignored by bipartition) --------------------
-    library: str = PARTITION_PARAMS["library"]
-    n_solutions: int = PARTITION_PARAMS["n_solutions"]
-    seeds_per_carve: int = PARTITION_PARAMS["seeds_per_carve"]
-    devices_per_carve: int = PARTITION_PARAMS["devices_per_carve"]
+    library: str = _spec(
+        "XC3000", verbs=_PARTITION, config=True, cli=str,
+        help="bundled device library",
+    )
+    n_solutions: int = _spec(
+        2, verbs=_PARTITION, config=True, check=_at_least(1), cli=int,
+        flag="--solutions", help="k-way runs whose best solution is kept",
+    )
+    seeds_per_carve: int = _spec(
+        3, verbs=_PARTITION, config=True, check=_at_least(1), cli=int,
+        help="bipartitioning seeds tried per carve",
+    )
+    devices_per_carve: int = _spec(
+        3, verbs=_PARTITION, config=True, check=_at_least(1), cli=int,
+        help="candidate devices tried per carve",
+    )
     # -- bipartition tunables (ignored by partition) --------------------
-    runs: int = BIPARTITION_PARAMS["runs"]
-    balance_tolerance: float = BIPARTITION_PARAMS["balance_tolerance"]
-    max_passes: int = BIPARTITION_PARAMS["max_passes"]
-    max_growth: Optional[float] = BIPARTITION_PARAMS["max_growth"]
+    runs: int = _spec(
+        20, verbs=_BIPARTITION, config=True, check=_at_least(1), cli=int,
+        help="multi-start runs",
+    )
+    balance_tolerance: float = _spec(
+        0.02, verbs=_BIPARTITION, config=True, cli=_parse_number,
+        help="allowed deviation from equal halves, as a fraction of the cells",
+    )
+    max_passes: int = _spec(
+        16, verbs=_BIPARTITION, config=True, cli=int,
+        help="improvement passes per run",
+    )
+    max_growth: Optional[float] = _spec(
+        None, verbs=_BIPARTITION, config=True,
+        check=_at_least(0, integer=False, optional=True), cli=_parse_number,
+        help="cap on replicated instances, as a fraction of the cells",
+    )
     # -- resilience (part of the cache/ledger identity) -----------------
-    deadline: Optional[float] = None
-    max_retries: Optional[int] = None
-    fallback: Optional[bool] = None
+    deadline: Optional[float] = _spec(
+        None, config=True, cli=_parse_number,
+        help="overall wall-clock budget in seconds, split over retries and "
+        "engine fallbacks; returns the best solution found in time",
+    )
+    max_retries: Optional[int] = _spec(
+        None, config=True, check=_at_least(0, optional=True), cli=int,
+        help="extra attempts per engine before degrading (default 2 once "
+        "--deadline or --no-fallback is given, else 0)",
+    )
+    fallback: Optional[bool] = _spec(
+        None, config=True, cli=bool,
+        help="the fm+functional -> fm+traditional -> fm engine cascade",
+    )
+    # -- execution-only fields (never fingerprinted) --------------------
+    cache: CachePolicy = _spec(
+        CachePolicy.OFF, check=_enum(CachePolicy), cli=CachePolicy,
+        help="solution cache policy ('use' is required for warm-start repair)",
+    )
+    jobs: int = _spec(
+        1, cli=int, help="worker processes for the multi-start/candidate "
+        "scans (1 = sequential, 0 = all cores; results are identical per seed)",
+    )
     # -- incremental repartitioning (see docs/INCREMENTAL.md) -----------
     #: Optional ECO delta (``repro-netlist-delta/1``) applied to the
     #: mapped netlist *before* anything else.  The delta itself is never
@@ -272,128 +471,56 @@ class PartitionRequest:
     #: post-delta netlist hash, so an empty delta is a pure cache hit on
     #: the base entry and two different deltas producing the same
     #: netlist share one entry.
-    delta: Optional[Any] = None
+    delta: Optional[Any] = _spec(
+        None, verbs=_PARTITION, check=_delta, cli=_read_json,
+        dump=lambda delta: delta.to_dict(), omit_none=True,
+        help="ECO delta document (repro-netlist-delta/1) applied to the "
+        "mapped netlist before solving; enables warm-start repair from a "
+        "cached ancestor solve",
+    )
     #: Warm-start policy: ``None``/``"auto"`` warm-start from the
     #: nearest cached ancestor whenever a delta is present, ``"off"``
     #: forces a cold solve, any other string is an explicit prior cache
     #: key to seed from.  Execution-only for identity purposes: the
     #: warm result is stored as *the* solution for its key, so replays
     #: are bit-identical regardless of how the entry was first produced.
-    warm_start: Optional[str] = None
-    # -- execution-only fields (never fingerprinted) --------------------
-    cache: CachePolicy = CachePolicy.OFF
-    jobs: int = 1
+    warm_start: Optional[str] = _spec(
+        None, verbs=_PARTITION, check=_text(optional=True), cli=str,
+        omit_none=True, help="warm-start policy for delta solves: a cache "
+        "key to seed from, 'auto' (nearest cached ancestor) or 'off'",
+    )
     #: Observability correlation id (``X-Repro-Trace-Id`` on the wire).
     #: Excluded from equality like ``schema_version``: a traced request
     #: must memoize and deduplicate exactly like its untraced twin.
-    trace_id: Optional[str] = field(default=None, compare=False)
-    schema_version: int = field(default=REQUEST_SCHEMA_VERSION, compare=False)
+    trace_id: Optional[str] = _spec(
+        None, check=_text(optional=True), omit_none=True, compare=False
+    )
+    #: Written as the document's ``v``.
+    schema_version: int = _spec(REQUEST_SCHEMA_VERSION, compare=False)
 
     def __post_init__(self) -> None:
-        _require(self.verb in REQUEST_VERBS,
-                 f"verb {self.verb!r} not in {REQUEST_VERBS}")
-        _require(isinstance(self.circuit, str) and bool(self.circuit),
-                 "circuit must be a non-empty string")
-        _require(_is_int(self.seed), f"seed {self.seed!r} is not an int")
-        # Normalize enum spellings so direct construction is as forgiving
-        # as the shims (frozen dataclass: go through __setattr__ escape).
-        object.__setattr__(self, "algorithm", Algorithm.coerce(self.algorithm))
-        object.__setattr__(self, "cache", CachePolicy.coerce(self.cache))
-        object.__setattr__(
-            self, "multilevel", MultilevelMode.coerce(self.multilevel)
-        )
-        threshold = self.threshold
-        if threshold is None:
-            verb_params = (
-                BIPARTITION_PARAMS if self.verb == "bipartition" else PARTITION_PARAMS
-            )
-            threshold = verb_params["threshold"]
-        object.__setattr__(self, "threshold", parse_threshold(threshold))
-        for name in ("runs", "n_solutions", "seeds_per_carve"):
+        # Frozen dataclass: normalized values go through object.__setattr__.
+        for name, check, per_verb in _CHECKS:
             value = getattr(self, name)
-            _require(_is_int(value) and value >= 1,
-                     f"{name}={value!r} must be an integer >= 1")
-        _require(
-            self.max_retries is None
-            or (_is_int(self.max_retries) and self.max_retries >= 0),
-            f"max_retries={self.max_retries!r} must be an integer >= 0 or null",
-        )
-        _require(
-            self.max_growth is None
-            or (_is_number(self.max_growth) and self.max_growth >= 0),
-            f"max_growth={self.max_growth!r} must be a number >= 0 or null",
-        )
-        _require(
-            self.trace_id is None
-            or (isinstance(self.trace_id, str) and bool(self.trace_id)),
-            f"trace_id {self.trace_id!r} must be a non-empty string or null",
-        )
-        if self.delta is not None:
-            from repro.techmap.delta import NetlistDelta
-
-            if not isinstance(self.delta, NetlistDelta):
-                try:
-                    object.__setattr__(
-                        self, "delta", NetlistDelta.from_dict(self.delta)
-                    )
-                except ValueError as exc:
-                    raise RequestError(f"bad delta: {exc}") from exc
-            _require(self.verb == "partition",
-                     "delta is only supported for the partition verb")
-        _require(
-            self.warm_start is None
-            or (isinstance(self.warm_start, str) and bool(self.warm_start)),
-            f"warm_start {self.warm_start!r} must be a non-empty string or null",
-        )
+            if value is None and per_verb is not None:
+                checked = check(name, per_verb[self.verb])
+            else:
+                checked = check(name, value)
+            if checked is not value:
+                object.__setattr__(self, name, checked)
+        _require(self.delta is None or self.verb in _PARTITION,
+                 "delta is only supported for the partition verb")
 
     # -- identity -------------------------------------------------------
     def config(self, multilevel_active: bool = False) -> Dict[str, Any]:
-        """The ledger/cache configuration dict of this request.
-
-        Byte-compatible with what the pre-request ``repro.api`` verbs
-        built inline: same keys, same value types, and the
-        ``"multilevel"`` marker present only when the V-cycle actually
-        resolved on for the target netlist (``multilevel_active``), so
-        every fingerprint, golden record and cache entry minted before
-        this refactor stays valid.
-        """
-        common = {
-            "verb": self.verb,
-            "algorithm": self.algorithm.value,
-            "threshold": self.threshold,
-            "scale": self.scale,
-            "deadline": self.deadline,
-            "max_retries": self.max_retries,
-            "fallback": self.fallback,
-        }
-        if self.verb == "bipartition":
-            config = {
-                "verb": common["verb"],
-                "algorithm": common["algorithm"],
-                "runs": self.runs,
-                "threshold": common["threshold"],
-                "balance_tolerance": self.balance_tolerance,
-                "max_passes": self.max_passes,
-                "max_growth": self.max_growth,
-                "scale": common["scale"],
-                "deadline": common["deadline"],
-                "max_retries": common["max_retries"],
-                "fallback": common["fallback"],
-            }
-        else:
-            config = {
-                "verb": common["verb"],
-                "algorithm": common["algorithm"],
-                "threshold": common["threshold"],
-                "library": self.library,
-                "n_solutions": self.n_solutions,
-                "seeds_per_carve": self.seeds_per_carve,
-                "devices_per_carve": self.devices_per_carve,
-                "scale": common["scale"],
-                "deadline": common["deadline"],
-                "max_retries": common["max_retries"],
-                "fallback": common["fallback"],
-            }
+        """The ledger/cache configuration dict of this request: the
+        verb's ``config`` fields, plus the ``"multilevel"`` marker only
+        when the V-cycle actually resolved on for the target netlist
+        (``multilevel_active``)."""
+        config: Dict[str, Any] = {}
+        for name, dump in _CONFIG[self.verb]:
+            value = getattr(self, name)
+            config[name] = value if dump is None else dump(value)
         if multilevel_active:
             config["multilevel"] = True
         return config
@@ -457,41 +584,16 @@ class PartitionRequest:
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """The JSON document form, in stable field order."""
-        doc: Dict[str, Any] = {
-            "schema": REQUEST_SCHEMA_NAME,
-            "v": self.schema_version,
-            "verb": self.verb,
-            "circuit": self.circuit,
-            "scale": self.scale,
-            "seed": self.seed,
-            "algorithm": self.algorithm.value,
-            "threshold": threshold_json(self.threshold),
-            "multilevel": self.multilevel.value,
-            "library": self.library,
-            "n_solutions": self.n_solutions,
-            "seeds_per_carve": self.seeds_per_carve,
-            "devices_per_carve": self.devices_per_carve,
-            "runs": self.runs,
-            "balance_tolerance": self.balance_tolerance,
-            "max_passes": self.max_passes,
-            "max_growth": self.max_growth,
-            "deadline": self.deadline,
-            "max_retries": self.max_retries,
-            "fallback": self.fallback,
-            "cache": self.cache.value,
-            "jobs": self.jobs,
-        }
-        # Only when set: delta-free documents stay byte-identical to
-        # every document minted before incremental requests existed.
-        if self.delta is not None:
-            doc["delta"] = self.delta.to_dict()
-        if self.warm_start is not None:
-            doc["warm_start"] = self.warm_start
-        if self.trace_id is not None:
-            # Only when set: untraced documents stay byte-identical to
-            # every document minted before trace propagation existed.
-            doc["trace_id"] = self.trace_id
+        """The JSON document form, in stable field order: the schema
+        header, then every field in declaration order."""
+        doc: Dict[str, Any] = {"schema": REQUEST_SCHEMA_NAME, "v": self.schema_version}
+        for name, dump, omit_none in _DOCUMENT:
+            value = getattr(self, name)
+            if value is None:
+                if not omit_none:
+                    doc[name] = None
+            else:
+                doc[name] = value if dump is None else dump(value)
         return doc
 
     def to_json(self) -> str:
@@ -514,8 +616,7 @@ class PartitionRequest:
         version = doc.get("v", REQUEST_SCHEMA_VERSION)
         _require(version == REQUEST_SCHEMA_VERSION,
                  f"request v={version!r}, expected {REQUEST_SCHEMA_VERSION}")
-        known = {f.name for f in fields(cls)} | {"schema", "v"}
-        unknown = sorted(set(doc) - known)
+        unknown = sorted(set(doc) - _FIELD_NAMES - {"schema", "v"})
         _require(not unknown, f"unknown request field(s): {unknown}")
         _require("verb" in doc, "request is missing 'verb'")
         _require("circuit" in doc, "request is missing 'circuit'")
@@ -544,31 +645,72 @@ class PartitionRequest:
         return replace(self, trace_id=trace_id)
 
 
+# -- everything below is derived from the declaration, once -------------
+_FIELDS: Tuple[Field, ...] = fields(PartitionRequest)
+_FIELD_NAMES = frozenset(f.name for f in _FIELDS)
+_KEYWORDS = _FIELD_NAMES - {"verb", "circuit"}
+_CHECKS = tuple(
+    (f.name, f.metadata["check"], f.metadata["per_verb"])
+    for f in _FIELDS
+    if f.metadata["check"] is not None
+)
+_DOCUMENT = tuple(
+    (f.name, f.metadata["dump"] or _enum_dump(f), f.metadata["omit_none"])
+    for f in _FIELDS
+    if f.name != "schema_version"
+)
+
+#: Per verb: the fields it takes, in declaration order (the CLI makes
+#: its flags from those with a ``cli`` parser).
+VERB_FIELDS: Dict[str, Tuple[Field, ...]] = {
+    verb: tuple(f for f in _FIELDS if verb in f.metadata["verbs"])
+    for verb in REQUEST_VERBS
+}
+_CONFIG = {
+    verb: tuple(
+        (f.name, _enum_dump(f))
+        for f in VERB_FIELDS[verb]
+        if f.metadata["config"] is True
+    )
+    for verb in REQUEST_VERBS
+}
+
+#: Per verb: the fields that name its solve (they enter ``config()``)
+#: with their defaults -- the fields a batch-manifest job may set.
+VERB_PARAMS: Dict[str, Dict[str, Any]] = {
+    verb: {
+        f.name: _default(f, verb)
+        for f in VERB_FIELDS[verb]
+        if f.metadata["config"] and f.name != "verb"
+    }
+    for verb in REQUEST_VERBS
+}
+
+
 def build_request(verb: str, circuit: str, **kwargs: Any) -> PartitionRequest:
     """A request from keyword arguments, e.g. ``build_request("partition",
     "s5378", scale=0.5, threshold=1)``.
 
     Unknown keywords raise :class:`RequestError` (mirroring ``TypeError``
-    semantics); omitted ones take the per-verb defaults.
+    semantics); omitted ones take their declared defaults.
     """
-    allowed = {f.name for f in fields(PartitionRequest)} - {"verb", "circuit"}
-    unknown = sorted(set(kwargs) - allowed)
+    unknown = sorted(set(kwargs) - _KEYWORDS)
     _require(not unknown, f"unknown request field(s): {unknown}")
     return PartitionRequest(verb=verb, circuit=circuit, **kwargs)
 
 
 __all__ = [
     "Algorithm",
-    "BIPARTITION_PARAMS",
-    "COMMON_PARAMS",
     "CachePolicy",
+    "MAPPING_SEED",
     "MultilevelMode",
-    "PARTITION_PARAMS",
     "PartitionRequest",
     "REQUEST_SCHEMA_NAME",
     "REQUEST_SCHEMA_VERSION",
     "REQUEST_VERBS",
     "RequestError",
+    "VERB_FIELDS",
+    "VERB_PARAMS",
     "build_request",
     "mapping_seed",
     "parse_threshold",

@@ -9,7 +9,6 @@ from repro.batch.manifest import (
     ManifestError,
     expand_manifest,
     load_manifest,
-    parse_threshold,
     threshold_label,
 )
 from repro.batch.scheduler import (
@@ -19,7 +18,7 @@ from repro.batch.scheduler import (
     run_batch,
 )
 from repro.experiments import tables4to7
-from repro.request import PARTITION_PARAMS
+from repro.request import VERB_PARAMS
 from repro.robust.budget import Budget
 from repro.robust.errors import ConfigError
 
@@ -94,8 +93,8 @@ def test_mixed_verb_defaults_are_filtered_per_verb():
         )
     )
     assert jobs[0].request.n_solutions == 1
-    # The bipartition job ignored it: its request keeps the table default.
-    assert jobs[1].request.n_solutions == PARTITION_PARAMS["n_solutions"] != 1
+    # The bipartition job ignored it: its request keeps the declared default.
+    assert jobs[1].request.n_solutions == VERB_PARAMS["partition"]["n_solutions"] != 1
     with pytest.raises(ManifestError):
         expand_manifest(
             _manifest([{"circuit": CIRCUIT}], defaults={"not_a_knob": 1})
@@ -103,13 +102,15 @@ def test_mixed_verb_defaults_are_filtered_per_verb():
 
 
 def test_threshold_parsing_and_labels():
-    assert parse_threshold("inf") == float("inf")
-    assert parse_threshold(2) == 2
+    jobs = expand_manifest(
+        _manifest([{"circuit": CIRCUIT, "threshold": t} for t in ("inf", 2)])
+    )
+    assert [job.request.threshold for job in jobs] == [float("inf"), 2]
     assert threshold_label(float("inf")) == "inf"
     assert threshold_label(2.0) == "2"
-    for bad in ("two", True, None):
-        with pytest.raises(ManifestError):
-            parse_threshold(bad)
+    for bad in ("two", True, [1]):
+        with pytest.raises(ManifestError, match="threshold"):
+            expand_manifest(_manifest([{"circuit": CIRCUIT, "threshold": bad}]))
 
 
 def test_duplicate_job_ids_get_suffixes():

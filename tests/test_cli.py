@@ -1,6 +1,7 @@
 """Smoke tests for the command-line interface."""
 
 import json
+from enum import Enum
 
 import pytest
 
@@ -34,11 +35,22 @@ def test_unknown_circuit_rejected():
         ["bipartition", "s5378", "--runs", "0"],
         ["partition", "s5378", "--solutions", "0"],
         ["partition", "s5378", "--max-retries", "-1"],
+        ["partition", "s5378", "--devices-per-carve", "0"],
+        ["partition", "s5378", "--devices-per-carve", "-2"],
     ],
 )
 def test_out_of_range_solver_flags_exit_before_solving(argv):
-    with pytest.raises(SystemExit, match=r"runs|n_solutions|max_retries"):
+    with pytest.raises(
+        SystemExit, match=r"runs|n_solutions|max_retries|devices_per_carve"
+    ):
         main(argv)
+
+
+def test_fractional_count_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "s5378", "--devices-per-carve", "1.5"])
+    assert exc.value.code == 2
+    assert "--devices-per-carve: invalid int value: '1.5'" in capsys.readouterr().err
 
 
 def test_map_command(capsys):
@@ -251,3 +263,123 @@ def test_solver_verbs_run_exactly_one_request(argv, monkeypatch, tmp_path, capsy
     assert main(argv) == 0
     capsys.readouterr()
     assert [request.verb for request in calls] == [argv[0]]
+
+
+# ---------------------------------------------------------------------------
+# One declaration: the solver verbs' flags are the request's fields
+# ---------------------------------------------------------------------------
+
+DELTA = {
+    "schema": "repro-netlist-delta/1",
+    "v": 1,
+    "ops": [{"op": "remove_cell", "cell": "n1"}],
+}
+
+#: One off-default command-line value per request field, and the value
+#: (type included) the request must hold for it.
+FLAG_VALUES = {
+    "scale": (["--scale", "0.5"], 0.5),
+    "seed": (["--seed", "7"], 7),
+    "algorithm": (["--algorithm", "fm"], "fm"),
+    "threshold": (["--threshold", "inf"], float("inf")),
+    "multilevel": (["--no-multilevel"], "off"),
+    "library": (["--library", "XC4000"], "XC4000"),
+    "n_solutions": (["--solutions", "4"], 4),
+    "seeds_per_carve": (["--seeds-per-carve", "5"], 5),
+    "devices_per_carve": (["--devices-per-carve", "6"], 6),
+    "runs": (["--runs", "9"], 9),
+    "balance_tolerance": (["--balance-tolerance", "0.1"], 0.1),
+    "max_passes": (["--max-passes", "3"], 3),
+    "max_growth": (["--max-growth", "0.5"], 0.5),
+    "deadline": (["--deadline", "12"], 12),
+    "max_retries": (["--max-retries", "2"], 2),
+    "fallback": (["--fallback"], True),
+    "cache": (["--cache", "use"], "use"),
+    "jobs": (["--jobs", "2"], 2),
+    "delta": (["--delta", "DELTA"], None),
+    "warm_start": (["--warm-start", "off"], "off"),
+}
+
+
+def _cli_request(argv):
+    from repro.cli import _request_from_args, build_parser
+
+    return _request_from_args(build_parser().parse_args(argv))
+
+
+def test_every_request_field_is_settable_from_its_subcommand(tmp_path):
+    from repro.request import VERB_FIELDS
+    from repro.techmap.delta import NetlistDelta
+
+    delta_path = tmp_path / "eco.json"
+    delta_path.write_text(json.dumps(DELTA), encoding="utf-8")
+    taken = {
+        verb: {spec.name for spec in VERB_FIELDS[verb]}
+        - {"verb", "circuit", "schema_version", "trace_id"}
+        for verb in ("bipartition", "partition")
+    }
+    assert taken["bipartition"] | taken["partition"] == set(FLAG_VALUES)
+    for verb, names in taken.items():
+        default = _cli_request([verb, "s5378"])
+        for name in sorted(names):
+            argv, expected = FLAG_VALUES[name]
+            argv = [str(delta_path) if arg == "DELTA" else arg for arg in argv]
+            value = getattr(_cli_request([verb, "s5378", *argv]), name)
+            if name == "delta":
+                expected = NetlistDelta.from_dict(DELTA)
+            plain = value.value if isinstance(value, Enum) else value
+            assert plain == expected and type(plain) is type(expected), (
+                verb, name, value,
+            )
+            assert value != getattr(default, name), (verb, name)
+
+
+def test_bipartition_cache_replays_bit_identical(capsys, tmp_path):
+    argv = ["bipartition", "s5378", "--scale", "0.12", "--runs", "3",
+            "--cache", "use", "--cache-dir", str(tmp_path / "c")]
+    cold = _json_run(capsys, argv)
+    warm = _json_run(capsys, argv)
+    assert cold["cache_info"]["status"] == "miss"
+    assert warm["cache_info"]["status"] == "hit"
+    assert json.dumps(cold["solution"], sort_keys=True) == json.dumps(
+        warm["solution"], sort_keys=True
+    )
+
+
+def test_bipartition_threshold_inf_keys_like_the_manifest_spelling(
+    capsys, tmp_path
+):
+    from repro.request import build_request
+
+    data = _json_run(
+        capsys,
+        ["bipartition", "s5378", "--scale", "0.1", "--runs", "2",
+         "--threshold", "inf", "--cache", "use",
+         "--cache-dir", str(tmp_path / "c")],
+    )
+    assert data["avg_replicated"] == 0.0
+    request = build_request(
+        "bipartition", "s5378", scale=0.1, seed=1994, runs=2, threshold="inf"
+    )
+    assert data["cache_info"]["key"] == request.cache_key(_quick_mapped())
+
+
+def test_cli_manifest_keys_like_sweep_manifest(tmp_path):
+    from repro.batch.manifest import expand_manifest
+    from repro.experiments.tables4to7 import sweep_manifest
+    from repro.obs.ledger import config_fingerprint
+
+    out = tmp_path / "m.json"
+    assert main(["batch", "manifest", "tables4to7", "--circuits", "s5378",
+                 "--scale", "0.12", "--out", str(out)]) == 0
+
+    def fingerprints(manifest):
+        return [
+            (job.job_id, config_fingerprint(job.request.config()))
+            for job in expand_manifest(manifest)
+        ]
+
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert fingerprints(written) == fingerprints(
+        sweep_manifest(["s5378"], 0.12, 1994)
+    )

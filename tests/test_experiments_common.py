@@ -6,7 +6,6 @@ from repro.experiments.common import (
     QUICK_CIRCUITS,
     TableResult,
     geomean_percent,
-    standard_parser,
 )
 from repro.netlist.benchmarks import BENCHMARK_NAMES
 
@@ -21,22 +20,6 @@ def test_quick_circuits_are_valid():
 def test_geomean_percent():
     assert geomean_percent([10.0, 20.0]) == 15.0
     assert geomean_percent([]) == 0.0
-
-
-def test_standard_parser_defaults():
-    args = standard_parser("x").parse_args([])
-    assert args.scale == 0.5
-    assert args.circuits is None
-    assert args.seed == 1994
-
-
-def test_standard_parser_overrides():
-    args = standard_parser("x").parse_args(
-        ["--scale", "0.2", "--circuits", "c6288", "s5378", "--seed", "3"]
-    )
-    assert args.scale == 0.2
-    assert args.circuits == ["c6288", "s5378"]
-    assert args.seed == 3
 
 
 class TestTableRendering:

@@ -11,9 +11,8 @@ from repro.cache.store import SolutionCache, cache_key, use_cache
 from repro.obs.ledger import config_fingerprint, netlist_fingerprint, run_key
 from repro.partition.devices import XC3000_LIBRARY, DeviceLibrary
 from repro.request import (
-    BIPARTITION_PARAMS,
-    PARTITION_PARAMS,
     REQUEST_SCHEMA_NAME,
+    VERB_PARAMS,
     Algorithm,
     CachePolicy,
     MultilevelMode,
@@ -118,6 +117,9 @@ def test_request_validation():
         ("n_solutions", True),
         ("max_retries", -1),
         ("max_growth", -0.2),
+        ("devices_per_carve", 1.5),
+        ("devices_per_carve", 0),
+        ("devices_per_carve", -2),
     ],
 )
 def test_out_of_range_fields_are_rejected(field, value):
@@ -299,18 +301,21 @@ def test_manifest_bad_params_surface_as_manifest_error():
 
 
 def test_omitted_threshold_resolves_per_verb():
-    from repro.cli import build_parser
+    from repro.cli import _request_from_args, build_parser
+
+    def cli_threshold(argv):
+        return _request_from_args(build_parser().parse_args(argv)).threshold
 
     bi = PartitionRequest.from_dict({"verb": "bipartition", "circuit": CIRCUIT})
-    assert bi.threshold == 0 == BIPARTITION_PARAMS["threshold"]
+    assert bi.threshold == 0 == VERB_PARAMS["bipartition"]["threshold"]
     assert build_request("bipartition", CIRCUIT) == bi
     manifest = {
         "schema": "repro-batch-manifest/1",
         "jobs": [{"verb": "bipartition", "circuit": CIRCUIT}],
     }
     assert expand_manifest(manifest)[0].request == bi
-    assert build_parser().parse_args(["bipartition", CIRCUIT]).threshold == 0
+    assert cli_threshold(["bipartition", CIRCUIT]) == 0
     # Partition defaults (and with them partition cache keys) stay put.
     part = PartitionRequest.from_dict({"verb": "partition", "circuit": CIRCUIT})
-    assert part.threshold == 1 == PARTITION_PARAMS["threshold"]
-    assert build_parser().parse_args(["partition", CIRCUIT]).threshold == "1"
+    assert part.threshold == 1 == VERB_PARAMS["partition"]["threshold"]
+    assert cli_threshold(["partition", CIRCUIT]) == 1
