@@ -31,7 +31,7 @@ Sub-packages: ``repro.netlist`` (gate-level substrate), ``repro.techmap``
 (XC3000 mapping), ``repro.hypergraph``, ``repro.replication`` (the paper's
 cost model), ``repro.partition`` (FM / replication FM / k-way),
 ``repro.core`` (end-to-end flows), ``repro.robust`` (deadlines, retry,
-graceful degradation, fault injection), ``repro.obs`` (metrics, tracing,
+engine degradation, fault injection), ``repro.obs`` (metrics, tracing,
 JSONL event streams), ``repro.api`` (the stable facade),
 ``repro.experiments`` (one module per paper table/figure).
 """
@@ -82,7 +82,6 @@ from repro.robust import (
     InfeasibleError,
     ParseError,
     ReproError,
-    SolverTimeoutError,
     VerificationError,
 )
 from repro.robust.runner import RunLog
@@ -150,7 +149,6 @@ __all__ = [
     "ParseError",
     "InfeasibleError",
     "BudgetExceededError",
-    "SolverTimeoutError",
     "VerificationError",
     "RunLog",
     "MetricsRegistry",

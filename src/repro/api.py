@@ -53,8 +53,8 @@ from repro.core.flow import (
     kway_solution,
     map_circuit,
 )
-from repro.core.results import kway_report_from_solution
-from repro.netlist.benchmarks import benchmark_circuit
+from repro.core.results import solve_row
+from repro.netlist.benchmarks import RECORDED_SEED, benchmark_circuit
 from repro.netlist.bench_io import load_bench
 from repro.netlist.netlist import Netlist
 from repro.obs import ledger as obs_ledger
@@ -73,6 +73,7 @@ from repro.request import (
     MultilevelMode,
     PartitionRequest,
     RequestError,
+    mapping_seed,
 )
 from repro.robust.runner import RunLog, relaxed_carve, run_cascade
 from repro.techmap.mapped import MappedNetlist
@@ -431,13 +432,19 @@ def _solve(
 def load(
     circuit: Union[str, Netlist],
     scale: float = 1.0,
-    seed: int = 1994,
+    seed: int = RECORDED_SEED,
 ) -> RunResult:
     """Resolve ``circuit`` into a gate-level netlist.
 
     Accepts a benchmark name (see ``repro.BENCHMARK_NAMES``), a path to
     an ISCAS ``.bench`` file, or an already-built
     :class:`~repro.netlist.netlist.Netlist` (returned unchanged).
+    ``seed`` is the run seed: a benchmark is generated at
+    :func:`~repro.request.mapping_seed` of it, so seed 0 gives the
+    recorded circuits, as it does for every request.  Raises
+    ``KeyError`` for an unknown name, ``ValueError`` for a scale outside
+    (0, 1], and :class:`~repro.robust.errors.ParseError` or ``OSError``
+    for a malformed or unreadable ``.bench`` file.
     """
     start = perf_counter()
     if isinstance(circuit, Netlist):
@@ -445,7 +452,7 @@ def load(
     elif circuit.endswith(".bench"):
         netlist = load_bench(circuit)
     else:
-        netlist = benchmark_circuit(circuit, scale=scale, seed=seed)
+        netlist = benchmark_circuit(circuit, scale=scale, seed=mapping_seed(seed))
     return RunResult(
         kind="load",
         solution=netlist,
@@ -457,18 +464,17 @@ def load(
 def map(  # noqa: A001 - deliberate: api.map reads naturally at call sites
     circuit: Union[str, Netlist, MappedNetlist],
     scale: float = 1.0,
-    seed: int = 1994,
+    seed: int = RECORDED_SEED,
 ) -> RunResult:
-    """Technology-map ``circuit`` into XC3000 CLBs."""
+    """Technology-map ``circuit`` into XC3000 CLBs; a name or path is
+    resolved by :func:`load` at run seed ``seed`` first."""
     start = perf_counter()
     if isinstance(circuit, MappedNetlist):
         mapped = circuit
-    elif isinstance(circuit, Netlist):
-        mapped = map_circuit(circuit, scale=scale, seed=seed)
     else:
-        mapped = map_circuit(
-            load(circuit, scale=scale, seed=seed).solution, scale=scale, seed=seed
-        )
+        if not isinstance(circuit, Netlist):
+            circuit = load(circuit, scale=scale, seed=seed).solution
+        mapped = map_circuit(circuit)
     return RunResult(
         kind="map",
         solution=mapped,
@@ -571,7 +577,7 @@ def _execute_request(
     mapped = map(
         circuit if circuit is not None else request.circuit,
         scale=request.scale,
-        seed=request.mapping_seed,
+        seed=request.seed,
     ).solution
     # Incremental front door: apply a carried ECO delta before anything
     # that depends on the netlist (multilevel resolution, cache identity,
@@ -671,13 +677,7 @@ def _execute_request(
             cache_info["warm"] = warm_info
     record = None
     if ledger is not None:
-        quality = (
-            obs_ledger.quality_from_bipartition(solution)
-            if kind == "bipartition"
-            else obs_ledger.quality_from_kway_report(
-                kway_report_from_solution(solution, request.threshold, elapsed)
-            )
-        )
+        _, quality = solve_row(kind, solution, request.threshold, elapsed)
         record = ledger.append(
             obs_ledger.build_record(
                 kind=kind,
@@ -722,9 +722,7 @@ def cached_result(
     if store is None:
         store = cache_store.resolve_cache()
     if mapped is None:
-        mapped = map(
-            request.circuit, scale=request.scale, seed=request.mapping_seed
-        ).solution
+        mapped = map(request.circuit, scale=request.scale, seed=request.seed).solution
     # ``mapped`` is the *base* netlist (the service memoizes it by
     # circuit x scale x mapping-seed); a carried delta applies here so
     # the key and the verify target are both the post-delta netlist.

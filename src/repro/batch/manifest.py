@@ -66,7 +66,7 @@ class BatchJob:
     index: int = 0
     #: Sentinel-file path for mid-solve cancellation (service jobs): the
     #: pool worker polls it through
-    #: :class:`repro.robust.budget.CancelFlag` and winds down gracefully
+    #: :class:`repro.robust.budget.CancelFlag` and winds the solve down
     #: when the submitting side creates the file.
     cancel_path: Optional[str] = None
 

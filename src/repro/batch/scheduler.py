@@ -322,10 +322,11 @@ def run_batch(
 
     ``jobs`` is the worker-process count (``0`` = all cores), capped at
     the number of primaries; one worker runs the jobs in-process.
-    ``cache`` is the policy handed to every verb call
-    (``"use"`` | ``"refresh"`` | ``"off"``); ``cache_dir`` overrides the
-    resolved store location; ``deadline`` is the global wall-clock
-    budget in seconds.  ``on_event`` receives progress dicts
+    ``cache`` is the policy (a :class:`~repro.request.CachePolicy`
+    value) handed to every verb call; ``cache_dir`` is the explicit
+    store location :func:`~repro.cache.store.resolve_cache` takes;
+    ``deadline`` is the global wall-clock budget in seconds.
+    ``on_event`` receives progress dicts
     (``job.start`` / ``job.done`` / ``job.skipped`` / ``batch.done``);
     the same events go to the observability registry when tracing.
     """
@@ -337,7 +338,7 @@ def run_batch(
     budget = Budget(deadline) if deadline is not None else None
     store: Optional[SolutionCache] = None
     if cache != "off":
-        store = SolutionCache(cache_dir) if cache_dir else resolve_cache()
+        store = resolve_cache(cache_dir)
 
     workers = max(1, min(resolve_jobs(jobs), len(primaries)))
     if workers == 1:

@@ -22,8 +22,7 @@ from time import perf_counter
 from typing import Any, Dict, Optional, Tuple
 
 from repro.batch.manifest import BatchJob
-from repro.core.results import kway_report_from_solution
-from repro.obs import ledger as obs_ledger
+from repro.core.results import solve_row
 from repro.request import PartitionRequest
 from repro.robust import faults
 from repro.robust.budget import Budget, CancelFlag, cancel_scope
@@ -143,14 +142,9 @@ def execute_job(job: BatchJob, cache: str = "use") -> JobOutcome:
         result = api.run_request(
             request, circuit=mapped_netlist(request), cache=cache, jobs=1
         )
-        if request.verb == "partition":
-            report = kway_report_from_solution(
-                result.solution, request.threshold, result.elapsed_seconds
-            )
-            quality = obs_ledger.quality_from_kway_report(report)
-        else:
-            report = result.solution
-            quality = obs_ledger.quality_from_bipartition(report)
+        report, quality = solve_row(
+            request.verb, result.solution, request.threshold, result.elapsed_seconds
+        )
     except Exception as exc:  # noqa: BLE001 - job isolation boundary
         return failed_outcome(
             job, f"{type(exc).__name__}: {exc}", wall_seconds=perf_counter() - start

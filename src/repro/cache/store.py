@@ -64,9 +64,6 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 #: Entry kinds a conforming store may contain (the cacheable verbs).
 ENTRY_KINDS = ("partition", "bipartition")
 
-#: The cache policies a request may carry.
-CACHE_POLICIES = ("use", "refresh", "off")
-
 
 def cache_key(netlist_hash: str, config: Dict[str, Any], seed: int) -> str:
     """The entry key for a (netlist hash, config, seed) request.
@@ -413,7 +410,6 @@ def resolve_cache(explicit: Optional[str] = None) -> SolutionCache:
 
 __all__ = [
     "CACHE_ENV_VAR",
-    "CACHE_POLICIES",
     "CACHE_SCHEMA_NAME",
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_CACHE_DIR",

@@ -40,49 +40,44 @@ from dataclasses import Field
 from enum import Enum
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from repro.netlist.bench_io import load_bench
-from repro.netlist.benchmarks import BENCHMARK_NAMES, benchmark_circuit
-from repro.netlist.netlist import Netlist
+from repro.netlist.benchmarks import BENCHMARK_NAMES
 from repro.netlist.stats import mapped_stats, netlist_stats
 from repro.request import (
     MAPPING_SEED,
     VERB_FIELDS,
     VERB_PARAMS,
+    CachePolicy,
     RequestError,
     build_request,
+    mapping_seed,
 )
-from repro.techmap.mapped import technology_map
 
 
-def _resolve_circuit(spec: str, scale: float, seed: int) -> Netlist:
-    """A circuit spec is either a benchmark name or a .bench file path."""
-    if spec in BENCHMARK_NAMES:
-        return benchmark_circuit(spec, scale=scale, seed=seed)
-    if spec.endswith(".bench"):
-        from repro.robust.errors import ParseError
+def _load_circuit(spec: str, scale: float, seed: int, mapped: bool = True) -> Any:
+    """``spec`` resolved by :func:`repro.api.load` at run seed ``seed``
+    and, unless ``mapped`` is false, technology-mapped by
+    :func:`repro.api.map`.  A circuit it cannot resolve is the command's
+    usage message."""
+    from repro import api
 
-        try:
-            return load_bench(spec)
-        except ParseError as exc:
-            raise SystemExit(str(exc)) from exc
-        except OSError as exc:
-            raise SystemExit(f"cannot read {spec!r}: {exc}") from exc
-    raise SystemExit(
-        f"unknown circuit {spec!r}: expected one of {', '.join(BENCHMARK_NAMES)} "
-        "or a path ending in .bench"
-    )
-
-
-def _add_circuit_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("circuit", help="benchmark name or .bench file")
-    parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=MAPPING_SEED)
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    try:
+        netlist = api.load(spec, scale=scale, seed=seed).solution
+    except KeyError:
+        raise SystemExit(
+            f"unknown circuit {spec!r}: expected one of "
+            f"{', '.join(BENCHMARK_NAMES)} or a path ending in .bench"
+        ) from None
+    except ValueError as exc:  # a malformed .bench file or a bad scale
+        raise SystemExit(str(exc)) from exc
+    except OSError as exc:
+        raise SystemExit(f"cannot read {spec!r}: {exc}") from exc
+    return api.map(netlist).solution if mapped else netlist
 
 
 #: The command line's own defaults, the only ones it does not take from
-#: the request declaration: both ledger goldens pin seed 1994, and a
-#: command-line bipartition runs five starts, not the paper's twenty.
+#: the request declaration: both ledger goldens pin the recorded seed,
+#: and a command-line bipartition runs five starts, not the paper's
+#: twenty.
 CLI_DEFAULTS: Dict[str, Dict[str, Any]] = {
     "bipartition": {"seed": MAPPING_SEED, "runs": 5},
     "partition": {"seed": MAPPING_SEED},
@@ -133,6 +128,32 @@ def _add_field_flag(
     parser.add_argument(
         meta["flag"] or "--" + spec.name.replace("_", "-"), help=help_text, **kwargs
     )
+
+
+#: The request fields a circuit is resolved at, besides its name; both
+#: verbs declare them alike.
+_CIRCUIT_FIELDS = tuple(
+    spec for spec in VERB_FIELDS["partition"] if spec.name in ("scale", "seed")
+)
+
+
+def _add_circuit_args(
+    parser: argparse.ArgumentParser,
+    *names: str,
+    nargs: Optional[str] = None,
+    json_flag: bool = True,
+) -> None:
+    """A circuit command's circuit positional(s), the ``--scale`` and
+    ``--seed`` (the run seed) it resolves them at, as the request
+    declares those, and ``--json``."""
+    for name in names:
+        parser.add_argument(name, nargs=nargs, help="benchmark name or .bench file")
+    for spec in _CIRCUIT_FIELDS:
+        _add_field_flag(parser, spec, "partition", suppress=False)
+    if json_flag:
+        parser.add_argument(
+            "--json", action="store_true", help="machine-readable output"
+        )
 
 
 def _add_cache_dir_arg(parser: argparse.ArgumentParser) -> None:
@@ -276,8 +297,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     """``bipartition`` / ``partition``: the flags become one request,
     solved by :func:`repro.api.run_request` like every other front door."""
     from repro import api
-    from repro.cache.store import SolutionCache, use_cache
-    from repro.core.results import kway_report_from_solution
+    from repro.cache.store import resolve_cache, use_cache
+    from repro.core.results import solve_row
     from repro.obs.ledger import Ledger, resolve_ledger, use_ledger
     from repro.robust.errors import ReproError
 
@@ -286,12 +307,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         trace_path = scope.enter_context(_observability(args))
         if args.ledger:
             scope.enter_context(use_ledger(Ledger(args.ledger)))
-        if args.cache_dir:
-            scope.enter_context(use_cache(SolutionCache(args.cache_dir)))
+        scope.enter_context(use_cache(resolve_cache(args.cache_dir)))
         ledger = resolve_ledger()
-        mapped = technology_map(
-            _resolve_circuit(request.circuit, request.scale, request.mapping_seed)
-        )
+        mapped = _load_circuit(request.circuit, request.scale, request.seed)
         try:
             result = api.run_request(request, circuit=mapped)
         except ReproError as exc:
@@ -310,11 +328,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         problems = verify_solution(request.apply_delta(mapped)[0], result.solution)
     log = result.run_log
     engine = _engine(log) if log is not None else None
-    report = result.solution
-    if request.verb == "partition":
-        report = kway_report_from_solution(
-            result.solution, request.threshold, result.elapsed_seconds
-        )
+    report, _ = solve_row(
+        request.verb, result.solution, request.threshold, result.elapsed_seconds
+    )
     if args.json:
         doc = {**report.as_dict(), **result.to_dict()}
         if log is not None:
@@ -335,7 +351,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    netlist = _resolve_circuit(args.circuit, args.scale, args.seed)
+    netlist = _load_circuit(args.circuit, args.scale, args.seed, mapped=False)
     stats = netlist_stats(netlist)
     if args.json:
         print(json.dumps(stats.as_dict(), indent=2))
@@ -346,8 +362,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    netlist = _resolve_circuit(args.circuit, args.scale, args.seed)
-    mapped = technology_map(netlist)
+    mapped = _load_circuit(args.circuit, args.scale, args.seed)
     stats = mapped_stats(mapped)
     payload = stats.as_dict()
     payload["multi_output_cells"] = mapped.n_multi_output_cells
@@ -365,17 +380,15 @@ def _cmd_delta(args: argparse.Namespace) -> int:
     from repro.techmap.delta import diff_mapped, seeded_delta
 
     if args.delta_cmd == "diff":
-        old = technology_map(_resolve_circuit(args.old, args.scale, args.seed))
-        new = technology_map(_resolve_circuit(args.new, args.scale, args.seed))
+        old = _load_circuit(args.old, args.scale, args.seed)
+        new = _load_circuit(args.new, args.scale, args.seed)
         try:
             delta = diff_mapped(old, new, base=netlist_fingerprint(old))
         except DeltaError as exc:
             raise SystemExit(str(exc)) from exc
         source = old
     else:  # gen
-        source = technology_map(
-            _resolve_circuit(args.circuit, args.scale, args.seed)
-        )
+        source = _load_circuit(args.circuit, args.scale, args.seed)
         delta = seeded_delta(
             source,
             fraction=args.fraction,
@@ -412,11 +425,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.netlist.rent import fit_rent, rent_points
     from repro.replication.potential import cell_distribution
 
-    netlist = _resolve_circuit(args.circuit, args.scale, args.seed)
-    mapped = technology_map(netlist)
+    mapped = _load_circuit(args.circuit, args.scale, args.seed)
     hg = build_hypergraph(mapped, include_terminals=False)
     dist = cell_distribution(hg, name=mapped.name)
-    fit = fit_rent(rent_points(hg, seed=args.seed))
+    # The Rent sample is drawn at the seed the circuit was generated at.
+    fit = fit_rent(rent_points(hg, seed=mapping_seed(args.seed)))
     payload = {
         "circuit": mapped.name,
         "clbs": mapped.n_cells,
@@ -438,14 +451,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _analyze_metrics(args: argparse.Namespace) -> int:
-    """Validate a JSONL observability trace and print a summary."""
-    from repro.obs.events import validate_jsonl_file
-    from repro.obs.summary import summarize_events
+    """Print :func:`repro.api.analyze`'s verdict on a JSONL trace."""
+    from repro import api
 
-    try:
-        events, problems = validate_jsonl_file(args.metrics)
-    except OSError as exc:
-        raise SystemExit(f"cannot read {args.metrics!r}: {exc}") from exc
+    verdict = api.analyze(args.metrics).solution
+    events, problems = verdict["events"], verdict["problems"]
     if args.json:
         print(
             json.dumps(
@@ -454,7 +464,7 @@ def _analyze_metrics(args: argparse.Namespace) -> int:
             )
         )
     else:
-        print(summarize_events(events) if events else "(empty trace)")
+        print(verdict["summary"] or "(empty trace)")
         for problem in problems:
             print(f"INVALID: {problem}", file=sys.stderr)
     return 0 if not problems else 1
@@ -760,16 +770,10 @@ def _cmd_batch_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cli_cache(args: argparse.Namespace):
-    from repro.cache.store import SolutionCache, resolve_cache
-
-    if args.cache_dir:
-        return SolutionCache(args.cache_dir)
-    return resolve_cache()
-
-
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    stats = _cli_cache(args).stats()
+    from repro.cache.store import resolve_cache
+
+    stats = resolve_cache(args.cache_dir).stats()
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
     else:
@@ -903,7 +907,9 @@ def _cmd_obs_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_evict(args: argparse.Namespace) -> int:
-    store = _cli_cache(args)
+    from repro.cache.store import resolve_cache
+
+    store = resolve_cache(args.cache_dir)
     evicted = store.evict(0 if args.all else args.max_bytes)
     stats = store.stats()
     print(
@@ -921,11 +927,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_stats = sub.add_parser("stats", help="gate-level circuit statistics")
-    _add_circuit_args(p_stats)
+    _add_circuit_args(p_stats, "circuit")
     p_stats.set_defaults(func=_cmd_stats)
 
     p_map = sub.add_parser("map", help="technology-map into XC3000 CLBs")
-    _add_circuit_args(p_map)
+    _add_circuit_args(p_map, "circuit")
     p_map.set_defaults(func=_cmd_map)
 
     for verb, help_text in (
@@ -933,14 +939,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("partition", "heterogeneous k-way partitioning"),
     ):
         p_solve = sub.add_parser(verb, help=help_text)
-        p_solve.add_argument("circuit", help="benchmark name or .bench file")
+        _add_circuit_args(p_solve, "circuit")
         for spec in VERB_FIELDS[verb]:
-            if spec.metadata["cli"]:
+            if spec.metadata["cli"] and spec not in _CIRCUIT_FIELDS:
                 _add_field_flag(p_solve, spec, verb)
         p_solve.set_defaults(func=_cmd_solve, **CLI_DEFAULTS[verb])
-        p_solve.add_argument(
-            "--json", action="store_true", help="machine-readable output"
-        )
         _add_cache_dir_arg(p_solve)
         _add_obs_args(p_solve)
         if verb == "partition":
@@ -960,19 +963,14 @@ def build_parser() -> argparse.ArgumentParser:
         "diff",
         help="diff OLD into NEW as a repro-netlist-delta/1 document",
     )
-    p_dd.add_argument("old", help="benchmark name or .bench file (pre-ECO)")
-    p_dd.add_argument("new", help="benchmark name or .bench file (post-ECO)")
-    p_dd.add_argument("--scale", type=float, default=1.0)
-    p_dd.add_argument("--seed", type=int, default=MAPPING_SEED, help="mapping seed")
+    _add_circuit_args(p_dd, "old", "new", json_flag=False)
     p_dd.add_argument("--out", metavar="PATH", default=None)
     p_dd.set_defaults(func=_cmd_delta)
     p_dg = delta_sub.add_parser(
         "gen",
         help="generate a deterministic seeded ECO edit (CI / bench drills)",
     )
-    p_dg.add_argument("circuit", help="benchmark name or .bench file")
-    p_dg.add_argument("--scale", type=float, default=1.0)
-    p_dg.add_argument("--seed", type=int, default=MAPPING_SEED, help="mapping seed")
+    _add_circuit_args(p_dg, "circuit", json_flag=False)
     p_dg.add_argument(
         "--fraction",
         type=float,
@@ -994,12 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replication-potential distribution + Rent exponent, "
         "or validate an observability trace (--metrics)",
     )
-    p_an.add_argument(
-        "circuit", nargs="?", default=None, help="benchmark name or .bench file"
-    )
-    p_an.add_argument("--scale", type=float, default=1.0)
-    p_an.add_argument("--seed", type=int, default=MAPPING_SEED)
-    p_an.add_argument("--json", action="store_true", help="machine-readable output")
+    _add_circuit_args(p_an, "circuit", nargs="?")
     p_an.add_argument(
         "--metrics",
         metavar="PATH",
@@ -1131,8 +1124,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_br.add_argument(
         "--cache",
-        choices=["use", "refresh", "off"],
-        default="use",
+        choices=[policy.value for policy in CachePolicy],
+        default=CachePolicy.USE.value,
         help="solution-cache policy for every job (default use)",
     )
     _add_cache_dir_arg(p_br)
@@ -1261,8 +1254,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--cache",
-        choices=["use", "refresh", "off"],
-        default="use",
+        choices=[policy.value for policy in CachePolicy],
+        default=CachePolicy.USE.value,
         help="solution-cache policy for served jobs (default use)",
     )
     _add_cache_dir_arg(p_serve)

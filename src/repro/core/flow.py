@@ -17,7 +17,7 @@ from typing import Optional, Tuple, Union
 
 from repro.core.results import BipartitionReport
 from repro.hypergraph.build import build_hypergraph
-from repro.netlist.benchmarks import benchmark_circuit
+from repro.netlist.benchmarks import RECORDED_SEED
 from repro.netlist.netlist import Netlist
 from repro.partition.devices import DeviceLibrary, XC3000_LIBRARY
 from repro.partition.fm import FMConfig
@@ -43,10 +43,13 @@ ALGORITHM_STYLE = {
 }
 
 
-def map_circuit(circuit: Union[str, Netlist], scale: float = 1.0, seed: int = 1994) -> MappedNetlist:
-    """Resolve a benchmark name or netlist into a mapped netlist."""
+def map_circuit(circuit: Union[str, Netlist], scale: float = 1.0, seed: int = RECORDED_SEED) -> MappedNetlist:
+    """Technology-map a netlist, or a circuit :func:`repro.api.load`
+    resolves at run seed ``seed``."""
     if isinstance(circuit, str):
-        circuit = benchmark_circuit(circuit, scale=scale, seed=seed)
+        from repro import api
+
+        circuit = api.load(circuit, scale=scale, seed=seed).solution
     return technology_map(circuit)
 
 
@@ -156,8 +159,8 @@ def kway_solution(
     """Experiment 2: one k-way heterogeneous partitioning data point.
 
     ``threshold=float('inf')`` reproduces the no-replication baseline
-    (the "In [3]" columns of Tables IV-VII).  A graceful ``budget`` makes
-    the flow return its best (possibly truncated) solution at expiry.
+    (the "In [3]" columns of Tables IV-VII).  A ``budget`` makes the
+    flow return its best (possibly truncated) solution at expiry.
     ``jobs`` is the worker count of each carve level's candidate scan
     (``0`` = all cores; the solution is the same for every count).
     ``algorithm`` takes the same names as :func:`bipartition_experiment`

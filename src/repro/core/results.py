@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
+
+from repro.obs.ledger import quality_from_bipartition, quality_from_kway_report
 
 
 @dataclass
@@ -91,6 +93,20 @@ def kway_report_from_solution(
         feasible=solution.feasible,
         elapsed_seconds=elapsed_seconds,
     )
+
+
+def solve_row(
+    verb: str, solution: Any, threshold: float, elapsed_seconds: float
+) -> Tuple[Any, Dict[str, Any]]:
+    """``(table row, ledger quality vector)`` of one solve of ``verb``.
+
+    A k-way solution's row is its :class:`KWayReport`; a bipartition
+    solve returns its :class:`BipartitionReport`, which is its own row.
+    """
+    if verb == "partition":
+        report = kway_report_from_solution(solution, threshold, elapsed_seconds)
+        return report, quality_from_kway_report(report)
+    return solution, quality_from_bipartition(solution)
 
 
 def dump_reports(reports: List[object], path: str) -> None:

@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro import api
 from repro.batch.scheduler import BatchReport, run_batch
 from repro.hypergraph.build import build_hypergraph
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.netlist.benchmarks import BENCHMARK_NAMES, benchmark_circuit
-from repro.request import mapping_seed
-from repro.techmap.mapped import MappedNetlist, technology_map
+from repro.netlist.benchmarks import BENCHMARK_NAMES, RECORDED_SEED
+from repro.techmap.mapped import MappedNetlist
 
 #: Circuit subset used by quick (default) bench runs.
 QUICK_CIRCUITS: Tuple[str, ...] = ("c3540", "c6288", "s5378", "s9234")
@@ -85,8 +85,7 @@ def _load_suite_cached(
 ) -> Tuple[SuiteCircuit, ...]:
     loaded = []
     for name in circuits:
-        netlist = benchmark_circuit(name, scale=scale, seed=seed)
-        mapped = technology_map(netlist)
+        mapped = api.map(name, scale=scale, seed=seed).solution
         loaded.append(
             SuiteCircuit(
                 name=name,
@@ -101,16 +100,16 @@ def _load_suite_cached(
 def load_suite(
     circuits: Optional[Sequence[str]] = None,
     scale: float = 1.0,
-    seed: int = 1994,
+    seed: int = RECORDED_SEED,
 ) -> List[SuiteCircuit]:
     """Load (and memoize) a benchmark suite at the given scale.
 
-    Circuits are generated at :func:`~repro.request.mapping_seed` of
-    ``seed``, the rule every request maps by, so a table that inspects
-    the suite and a table that partitions it see the same netlists.
+    Circuits are mapped by :func:`repro.api.map` at run seed ``seed``,
+    as every request is, so a table that inspects the suite and a table
+    that partitions it see the same netlists.
     """
     names = tuple(circuits) if circuits else BENCHMARK_NAMES
-    return list(_load_suite_cached(names, scale, mapping_seed(seed)))
+    return list(_load_suite_cached(names, scale, seed))
 
 
 def run_manifest(

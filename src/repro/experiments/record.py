@@ -40,8 +40,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.results import KWayReport
 from repro.experiments import figure3, table1, table2, table3, tables4to7
 from repro.experiments.common import TableResult, run_manifest
+from repro.netlist.benchmarks import RECORDED_SEED
 from repro.obs import ledger as obs_ledger
-from repro.request import parse_threshold
+from repro.request import CachePolicy, parse_threshold
 
 INF = float("inf")
 
@@ -173,7 +174,7 @@ def paper_drift_report(data: Dict[Tuple[str, float], KWayReport]) -> str:
     return "\n".join(lines)
 
 
-def sweep_manifest(seed: int = 1994) -> Dict[str, Any]:
+def sweep_manifest(seed: int = RECORDED_SEED) -> Dict[str, Any]:
     """The recording k-way sweep as a batch manifest: per-circuit
     :data:`KWAY_SCALES`, one solution, two seeds and two devices per
     carve.  The ledger records of :func:`record_kway_sweep` read their
@@ -225,7 +226,7 @@ def _log_sweep(
 
 def record_kway_sweep(
     out_dir: str,
-    seed: int = 1994,
+    seed: int = RECORDED_SEED,
     ledger: Optional[obs_ledger.Ledger] = None,
     batch_jobs: int = 0,
     cache: str = "use",
@@ -259,7 +260,7 @@ def record_kway_sweep(
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results")
-    parser.add_argument("--seed", type=int, default=1994)
+    parser.add_argument("--seed", type=int, default=RECORDED_SEED)
     parser.add_argument("--skip-table3", action="store_true")
     parser.add_argument("--table3-scale", type=float, default=1.0)
     parser.add_argument("--table3-runs", type=int, default=20)
@@ -284,8 +285,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--cache",
-        choices=("use", "refresh", "off"),
-        default="use",
+        choices=[policy.value for policy in CachePolicy],
+        default=CachePolicy.USE.value,
         help="solution-cache policy for Tables III-VII (default use)",
     )
     parser.add_argument(

@@ -8,13 +8,14 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.common import TableResult, load_suite
+from repro.netlist.benchmarks import RECORDED_SEED
 from repro.netlist.stats import mapped_stats
 
 
 def run(
     circuits: Optional[Sequence[str]] = None,
     scale: float = 1.0,
-    seed: int = 1994,
+    seed: int = RECORDED_SEED,
 ) -> TableResult:
     rows = []
     for sc in load_suite(circuits, scale, seed):

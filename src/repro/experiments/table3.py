@@ -19,12 +19,13 @@ from repro.experiments.common import (
     geomean_percent,
     run_manifest,
 )
+from repro.netlist.benchmarks import RECORDED_SEED
 
 
 def manifest(
     circuits: Optional[Sequence[str]] = None,
     scale: float = 1.0,
-    seed: int = 1994,
+    seed: int = RECORDED_SEED,
     runs: int = 20,
     threshold: int = 0,
 ) -> Dict[str, Any]:
@@ -65,7 +66,7 @@ def reports_from_batch(report: Any) -> Dict[str, Dict[str, BipartitionReport]]:
 def run(
     circuits: Optional[Sequence[str]] = None,
     scale: float = 1.0,
-    seed: int = 1994,
+    seed: int = RECORDED_SEED,
     runs: int = 20,
     threshold: int = 0,
 ) -> TableResult:

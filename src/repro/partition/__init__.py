@@ -34,7 +34,6 @@ from repro.partition.annealing import (
     AnnealingResult,
     annealing_bipartition,
 )
-from repro.partition.report import bipartition_report, solution_report
 
 __all__ = [
     "SpectralConfig",
@@ -43,8 +42,6 @@ __all__ = [
     "AnnealingConfig",
     "AnnealingResult",
     "annealing_bipartition",
-    "bipartition_report",
-    "solution_report",
     "MultilevelConfig",
     "MultilevelHierarchy",
     "MultilevelResult",

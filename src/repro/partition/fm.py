@@ -439,6 +439,7 @@ def fm_bipartition(
 def _run_passes(state: _FMState, config: FMConfig, reg) -> List[int]:
     """The pass loop, with per-pass timing when a registry is active."""
     pass_gains: List[int] = []
+    initial_cut = state.cut_size()
     hist = reg.histogram("fm.pass_seconds", _PASS_SECONDS_BUCKETS) if reg else None
     moves0, thaws0 = state.moves_total, state.thaws_total
 
@@ -465,6 +466,7 @@ def _run_passes(state: _FMState, config: FMConfig, reg) -> List[int]:
         reg.emit_event(
             "fm.run_gains",
             seed=config.seed,
+            initial_cut=initial_cut,
             final_cut=state.cut_size(),
             gains=list(pass_gains),
         )

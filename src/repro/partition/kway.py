@@ -118,11 +118,10 @@ class KWayConfig:
     #: plays the role of the lower utilization bound l_i of the paper's
     #: device model during search.
     carve_fill_levels: Tuple[float, ...] = (0.85, 0.65, 0.45, 0.25)
-    #: Optional wall-clock budget.  A *graceful* budget (the default)
-    #: makes the carve loop stop at its next checkpoint and dump the
-    #: remaining circuit into one best-effort final block, yielding a
-    #: structurally valid (``truncated``, possibly infeasible) solution;
-    #: a strict budget raises ``SolverTimeoutError`` there instead.
+    #: Optional wall-clock budget.  Once it expires the carve loop stops
+    #: at its next checkpoint and dumps the remaining circuit into one
+    #: best-effort final block, yielding a structurally valid
+    #: (``truncated``, possibly infeasible) solution.
     budget: Optional[Budget] = None
     #: Bipartitioning engine: ``"fast"`` (the CSR/bucket engines) or
     #: ``"reference"`` (the pre-optimization engines preserved in
@@ -625,10 +624,6 @@ def _partition_heterogeneous(
                 "block limit exceeded; circuit cannot be carved"
             )
         exhausted = budget is not None and budget.expired
-        if exhausted:
-            # Strict budgets raise here; graceful ones fall through and
-            # dump the remainder into one best-effort final block.
-            budget.check("k-way carve loop")
         clbs = len(cells)
         present_nets: Set[str] = set()
         pad_nets: Set[str] = {t.net for t in terms}
@@ -690,8 +685,7 @@ def _partition_heterogeneous(
         if chosen is None:
             if out_of_time:
                 # Expired mid-evaluation with nothing usable: loop back so
-                # the exhausted check above finalizes (or raises, when the
-                # budget is strict).
+                # the exhausted check above finalizes.
                 continue
             raise InfeasibleError(
                 f"no carve candidate for {clbs} CLBs; library too small"

@@ -81,21 +81,19 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _budget_allotment(budget: Optional[Budget]) -> Tuple[Optional[float], bool]:
-    """Capture a budget as picklable (remaining seconds, graceful) state."""
+def _budget_allotment(budget: Optional[Budget]) -> Optional[float]:
+    """Capture a budget as its picklable remaining seconds."""
     if budget is None:
-        return None, True
+        return None
     remaining = budget.remaining()
-    return (None if remaining == float("inf") else remaining), budget.graceful
+    return None if remaining == float("inf") else remaining
 
 
-def _rebuild_budget(
-    remaining: Optional[float], graceful: bool, limited: bool
-) -> Optional[Budget]:
+def _rebuild_budget(remaining: Optional[float], limited: bool) -> Optional[Budget]:
     """Worker-side budget from the captured allotment."""
     if not limited:
         return None
-    return Budget(remaining, graceful=graceful)
+    return Budget(remaining)
 
 
 def _parent_obs_context() -> Optional[Dict[str, Any]]:
@@ -162,7 +160,7 @@ class _Worker:
     allotment and observability context, and the state built once."""
 
     run: Callable[[Any, Any, Optional[Budget]], Any]
-    allotment: Tuple[Optional[float], bool, bool]
+    allotment: Tuple[Optional[float], bool]
     obs: Optional[Dict[str, Any]]
     state: Any = None
 
@@ -218,9 +216,8 @@ class WorkerPool:
         self._run = run
         self._budget = budget
         self._state: Any = _UNBUILT
-        remaining, graceful = _budget_allotment(budget)
         self._initargs = (
-            build, shared, run, (remaining, graceful, budget is not None),
+            build, shared, run, (_budget_allotment(budget), budget is not None),
             _parent_obs_context(), faults.export_spec(),
         )
         self._ex: Optional[ProcessPoolExecutor] = None

@@ -50,6 +50,8 @@ from enum import Enum
 from operator import attrgetter
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
+from repro.netlist.benchmarks import RECORDED_SEED
+
 #: Version stamped into every request document as ``v``.
 REQUEST_SCHEMA_VERSION = 1
 
@@ -60,9 +62,9 @@ REQUEST_SCHEMA_NAME = "repro-partition-request/1"
 REQUEST_VERBS = ("bipartition", "partition")
 
 #: The seed a circuit is generated and mapped at for run seed 0 (see
-#: :func:`mapping_seed`): the seed of every recorded table and ledger
-#: golden, and the command line's default ``--seed``.
-MAPPING_SEED = 1994
+#: :func:`mapping_seed`): the recorded experiments' generator seed, and
+#: the command line's default ``--seed``.
+MAPPING_SEED = RECORDED_SEED
 
 
 class RequestError(ValueError):
@@ -289,7 +291,24 @@ def _verb(name: str, value: Any) -> Any:
 
 
 def _threshold(name: str, value: Any) -> Any:
-    return parse_threshold(value)
+    value = parse_threshold(value)
+    _require(value >= 0, f"{name}={value!r} must be >= 0 or 'inf'")
+    return value
+
+
+def _scale(name: str, value: Any) -> float:
+    """A size factor in (0, 1], always a ``float``: ``1`` and ``1.0``
+    name one circuit, so they must key one solve."""
+    _require(_is_number(value) and 0 < value <= 1,
+             f"{name}={value!r} must be a number in (0, 1]")
+    return float(value)
+
+
+def _flag(name: str, value: Any) -> Any:
+    """``True``, ``False`` or ``None`` (unset)."""
+    _require(value is None or isinstance(value, bool),
+             f"{name}={value!r} must be true, false or null")
+    return value
 
 
 def _delta(name: str, value: Any) -> Any:
@@ -387,10 +406,13 @@ class PartitionRequest:
     verb: str = _spec(config=True, check=_verb)
     circuit: str = _spec(check=_text())
     scale: float = _spec(
-        1.0, config=True, cli=float,
+        1.0, config=True, check=_scale, cli=float,
         help="circuit size factor (1.0 = the published sizes)",
     )
-    seed: int = _spec(0, check=_at_least(), cli=int, help="solver seed")
+    seed: int = _spec(
+        0, check=_at_least(), cli=int,
+        help="run seed (0 generates the recorded circuits)",
+    )
     algorithm: Algorithm = _spec(
         Algorithm.FM_FUNCTIONAL, config=True, check=_enum(Algorithm),
         cli=Algorithm, help="bipartitioning engine family",
@@ -407,7 +429,7 @@ class PartitionRequest:
     )
     # -- partition tunables (ignored by bipartition) --------------------
     library: str = _spec(
-        "XC3000", verbs=_PARTITION, config=True, cli=str,
+        "XC3000", verbs=_PARTITION, config=True, check=_text(), cli=str,
         help="bundled device library",
     )
     n_solutions: int = _spec(
@@ -428,11 +450,12 @@ class PartitionRequest:
         help="multi-start runs",
     )
     balance_tolerance: float = _spec(
-        0.02, verbs=_BIPARTITION, config=True, cli=_parse_number,
+        0.02, verbs=_BIPARTITION, config=True,
+        check=_at_least(0, integer=False), cli=_parse_number,
         help="allowed deviation from equal halves, as a fraction of the cells",
     )
     max_passes: int = _spec(
-        16, verbs=_BIPARTITION, config=True, cli=int,
+        16, verbs=_BIPARTITION, config=True, check=_at_least(0), cli=int,
         help="improvement passes per run",
     )
     max_growth: Optional[float] = _spec(
@@ -442,7 +465,8 @@ class PartitionRequest:
     )
     # -- resilience (part of the cache/ledger identity) -----------------
     deadline: Optional[float] = _spec(
-        None, config=True, cli=_parse_number,
+        None, config=True, check=_at_least(0, integer=False, optional=True),
+        cli=_parse_number,
         help="overall wall-clock budget in seconds, split over retries and "
         "engine fallbacks; returns the best solution found in time",
     )
@@ -452,7 +476,7 @@ class PartitionRequest:
         "--deadline or --no-fallback is given, else 0)",
     )
     fallback: Optional[bool] = _spec(
-        None, config=True, cli=bool,
+        None, config=True, check=_flag, cli=bool,
         help="the fm+functional -> fm+traditional -> fm engine cascade",
     )
     # -- execution-only fields (never fingerprinted) --------------------
@@ -461,7 +485,7 @@ class PartitionRequest:
         help="solution cache policy ('use' is required for warm-start repair)",
     )
     jobs: int = _spec(
-        1, cli=int, help="worker processes for the multi-start/candidate "
+        1, check=_at_least(), cli=int, help="worker processes for the multi-start/candidate "
         "scans (1 = sequential, 0 = all cores; results are identical per seed)",
     )
     # -- incremental repartitioning (see docs/INCREMENTAL.md) -----------
@@ -580,7 +604,7 @@ class PartitionRequest:
     @property
     def netlist_id(self) -> tuple:
         """(circuit, scale, mapping seed): the mapped-netlist identity."""
-        return (self.circuit, float(self.scale), self.mapping_seed)
+        return (self.circuit, self.scale, self.mapping_seed)
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

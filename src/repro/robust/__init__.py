@@ -9,7 +9,7 @@ fault-tolerant execution:
   solvers poll cooperatively;
 * :mod:`repro.robust.runner` -- the attempt cascade every solve runs
   (:func:`~repro.robust.runner.run_cascade`): deadlines, retry with seed
-  perturbation, a graceful-degradation cascade (``fm+functional ->
+  perturbation, an engine-degradation cascade (``fm+functional ->
   fm+traditional -> fm``) and best-so-far checkpointing on top of the
   raw flows, recording every decision in a machine-readable
   :class:`RunLog`;
@@ -31,7 +31,6 @@ from repro.robust.errors import (
     InfeasibleError,
     ParseError,
     ReproError,
-    SolverTimeoutError,
     VerificationError,
 )
 from repro.robust.faults import (
@@ -50,7 +49,6 @@ __all__ = [
     "ConfigError",
     "InfeasibleError",
     "BudgetExceededError",
-    "SolverTimeoutError",
     "ParseError",
     "VerificationError",
     "Fault",

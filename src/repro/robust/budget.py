@@ -3,15 +3,10 @@
 A :class:`Budget` is a small monotonic-clock deadline object threaded
 through ``FMConfig`` / ``ReplicationConfig`` / ``KWayConfig``.  The
 solvers poll it at cheap checkpoints (between passes, every few hundred
-moves inside a pass, at every carve of the k-way flow) and wind down
-when it expires:
-
-* **graceful** budgets (the default) make each solver stop refining and
-  return its best state so far -- a timed-out k-way run still yields a
-  structurally valid (possibly infeasible, ``truncated``) solution;
-* **strict** budgets (``graceful=False``) make the k-way carve loop
-  raise :class:`~repro.robust.errors.SolverTimeoutError` at the next
-  checkpoint instead.
+moves inside a pass, at every carve of the k-way flow) and, once it
+expires, stop refining and return their best state so far: a timed-out
+k-way run still yields a structurally valid (possibly infeasible,
+``truncated``) solution.
 
 Budgets nest: :meth:`Budget.child` returns a sub-budget clamped to the
 parent's deadline, which is how the attempt cascade
@@ -24,7 +19,7 @@ installed process-wide (:func:`cancel_scope`) makes *every* budget
 report :attr:`Budget.expired` as soon as the flag's sentinel file
 appears.  The job service uses this to reach into a pool worker mid
 solve -- ``DELETE`` on a running job touches the sentinel and the
-worker's graceful wind-down frees the slot at its next checkpoint
+worker's solve winds down and frees the slot at its next checkpoint
 instead of running to its deadline.
 """
 
@@ -34,7 +29,7 @@ import os
 import time
 from typing import Callable, Optional
 
-from repro.robust.errors import ConfigError, SolverTimeoutError
+from repro.robust.errors import ConfigError
 
 
 class CancelFlag:
@@ -95,13 +90,6 @@ class CancelFlag:
 _CANCEL: Optional[CancelFlag] = None
 
 
-def set_cancel_flag(flag: Optional[CancelFlag]) -> Optional[CancelFlag]:
-    """Install ``flag`` process-wide (``None`` removes it again)."""
-    global _CANCEL
-    _CANCEL = flag
-    return _CANCEL
-
-
 def cancelled() -> bool:
     """Whether the installed process-wide flag (if any) is raised."""
     return _CANCEL is not None and _CANCEL.is_set()
@@ -121,7 +109,8 @@ def ambient_budget() -> Optional["Budget"]:
 
 
 class cancel_scope:
-    """Scoped :func:`set_cancel_flag`: restores the previous flag on exit.
+    """Install ``flag`` process-wide (``None`` removes it) for the scope;
+    restores the previous flag on exit.
 
     A plain class-based context manager (not ``@contextmanager``) so the
     pool worker can keep one instance per task with zero generator
@@ -153,13 +142,12 @@ class Budget:
     through a solver changes nothing.
     """
 
-    __slots__ = ("_clock", "start", "seconds", "deadline", "graceful")
+    __slots__ = ("_clock", "start", "seconds", "deadline")
 
     def __init__(
         self,
         seconds: Optional[float] = None,
         *,
-        graceful: bool = True,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if seconds is not None and seconds < 0:
@@ -168,12 +156,6 @@ class Budget:
         self.start = clock()
         self.seconds = seconds
         self.deadline = None if seconds is None else self.start + seconds
-        self.graceful = graceful
-
-    @classmethod
-    def unlimited(cls) -> "Budget":
-        """A budget that never expires (the default everywhere)."""
-        return cls(None)
 
     # ------------------------------------------------------------------
     def elapsed(self) -> float:
@@ -191,31 +173,13 @@ class Budget:
         """True once the deadline has passed *or* the job is cancelled.
 
         Cancellation (see :class:`CancelFlag`) deliberately reuses the
-        deadline machinery: every solver already winds down gracefully
-        when its budget expires, so raising the process-wide flag stops
-        a running solve at its next checkpoint with no new code in any
-        solver.
+        deadline machinery: every solver already winds down when its
+        budget expires, so raising the process-wide flag stops a running
+        solve at its next checkpoint with no new code in any solver.
         """
         if _CANCEL is not None and _CANCEL.is_set():
             return True
         return self.deadline is not None and self._clock() >= self.deadline
-
-    def check(self, where: str = "solver") -> None:
-        """Raise :class:`SolverTimeoutError` if expired and not graceful.
-
-        Graceful budgets never raise here; callers are expected to test
-        :attr:`expired` and wind down on their own.
-        """
-        if not self.graceful and self.expired:
-            what = (
-                "cancellation"
-                if self.seconds is None
-                else f"deadline of {self.seconds:.3f}s"
-            )
-            raise SolverTimeoutError(
-                f"{what} expired in {where} after {self.elapsed():.3f}s",
-                elapsed=self.elapsed(),
-            )
 
     def share(self, n: int) -> Optional[float]:
         """An even ``1/n`` split of the remaining time, in seconds.
@@ -233,9 +197,7 @@ class Budget:
         return self.remaining() / n
 
     # ------------------------------------------------------------------
-    def child(
-        self, seconds: Optional[float] = None, *, graceful: bool = True
-    ) -> "Budget":
+    def child(self, seconds: Optional[float] = None) -> "Budget":
         """A sub-budget clamped to this budget's own deadline.
 
         ``seconds=None`` inherits the parent's remaining time exactly.
@@ -247,12 +209,9 @@ class Budget:
             allot = None if remaining == float("inf") else remaining
         else:
             allot = seconds if remaining == float("inf") else min(seconds, remaining)
-        return Budget(allot, graceful=graceful, clock=self._clock)
+        return Budget(allot, clock=self._clock)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.deadline is None:
             return "Budget(unlimited)"
-        return (
-            f"Budget({self.seconds:.3f}s, remaining={self.remaining():.3f}s, "
-            f"graceful={self.graceful})"
-        )
+        return f"Budget({self.seconds:.3f}s, remaining={self.remaining():.3f}s)"

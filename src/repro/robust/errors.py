@@ -3,8 +3,8 @@
 Every failure the library can produce descends from :class:`ReproError`,
 so callers can write ``except ReproError`` at the service boundary and
 know that anything else escaping is a genuine bug.  The taxonomy further
-distinguishes *retryable* failures (timeouts, rejected solutions, an
-infeasible carve that a different seed may avoid) from *fatal* ones (a
+distinguishes *retryable* failures (rejected solutions, an infeasible
+carve that a different seed may avoid) from *fatal* ones (a
 malformed netlist, a nonsensical configuration), which is what the
 attempt cascade (:func:`repro.robust.runner.run_cascade`) keys its
 retry/degradation decisions on.
@@ -56,21 +56,6 @@ class BudgetExceededError(ReproError):
     def __init__(self, message: str, log: Optional[object] = None) -> None:
         super().__init__(message)
         self.log = log
-
-
-class SolverTimeoutError(ReproError):
-    """A wall-clock deadline expired inside a solver.
-
-    Raised by :meth:`repro.robust.budget.Budget.check` at cooperative
-    checkpoints when the budget was created with ``graceful=False``;
-    graceful budgets make the solvers stop and return their best-so-far
-    state instead.  Retryable: the remaining deadline may admit a
-    cheaper attempt.
-    """
-
-    def __init__(self, message: str, elapsed: Optional[float] = None) -> None:
-        super().__init__(message)
-        self.elapsed = elapsed
 
 
 class ParseError(ReproError, ValueError):
@@ -131,7 +116,7 @@ class VerificationError(ReproError):
 #: Exception classes the cascade treats as retryable with a new seed or a
 #: degraded engine (anything else non-Repro is retried too, but logged as
 #: an unclassified error).
-RETRYABLE = (InfeasibleError, SolverTimeoutError, VerificationError)
+RETRYABLE = (InfeasibleError, VerificationError)
 
 #: Exception classes the cascade refuses to retry: the input or the
 #: configuration is wrong and no amount of re-running will change that.

@@ -13,13 +13,13 @@ it into a restartable, deadline-aware search:
 * **deadlines** -- one overall wall-clock budget, split into
   exponentially sized per-attempt slices (early attempts are cheap
   probes, the final attempt gets everything left), each threaded into
-  the solver as a graceful :class:`~repro.robust.budget.Budget` so a
-  timed-out attempt still returns a structurally valid best-so-far
-  solution;
+  the solver as a :class:`~repro.robust.budget.Budget` whose expiry
+  winds the solve down, so a timed-out attempt still returns a
+  structurally valid best-so-far solution;
 * **retry with seed perturbation** -- every later attempt derives a
   fresh seed, so a crash or a rejected solution is retried on a
   different random trajectory;
-* **graceful degradation** -- on repeated failure the engine cascade
+* **engine degradation** -- on repeated failure the engine cascade
   steps down ``fm+functional -> fm+traditional -> fm``; the k-way
   attempt relaxes its carve bounds on the lower rungs
   (:func:`relaxed_carve`);
@@ -47,7 +47,6 @@ from repro.robust.errors import (
     BudgetExceededError,
     ConfigError,
     FATAL,
-    SolverTimeoutError,
     VerificationError,
 )
 
@@ -106,7 +105,7 @@ class RunEvent:
     seed: int = -1
     allotted: float = float("inf")  # seconds granted to the attempt
     elapsed: float = 0.0
-    outcome: str = ""  # "ok" | "truncated" | "infeasible" | "timeout" | "error" | "rejected"
+    outcome: str = ""  # "ok" | "truncated" | "infeasible" | "error" | "rejected"
     detail: str = ""
 
     def as_dict(self) -> Dict[str, object]:
@@ -159,7 +158,7 @@ class RunLog:
         return {
             "attempts": len(attempts),
             "ok": sum(1 for e in attempts if e.outcome in ("ok", "truncated", "infeasible")),
-            "failed": sum(1 for e in attempts if e.outcome in ("timeout", "error", "rejected")),
+            "failed": sum(1 for e in attempts if e.outcome in ("error", "rejected")),
             "degradations": self.degradations(),
         }
 
@@ -206,14 +205,6 @@ def _attempt_seconds(total: Budget, attempts_left: int) -> Optional[float]:
     if attempts_left <= 1:
         return remaining
     return remaining / (2 ** min(attempts_left - 1, _MAX_SPLIT_EXP))
-
-
-def _classify(exc: Exception) -> str:
-    if isinstance(exc, SolverTimeoutError):
-        return "timeout"
-    if isinstance(exc, VerificationError):
-        return "rejected"
-    return "error"
 
 
 def run_cascade(
@@ -284,7 +275,9 @@ def run_cascade(
             raise
         except Exception as exc:  # noqa: BLE001 - logged and retried
             event.elapsed = time.monotonic() - started
-            event.outcome = _classify(exc)
+            event.outcome = (
+                "rejected" if isinstance(exc, VerificationError) else "error"
+            )
             event.detail = f"{type(exc).__name__}: {exc}"
             log.record(event)
             error = exc

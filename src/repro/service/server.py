@@ -109,16 +109,13 @@ class PartitionService:
         max_inflight: int = 16,
         keep_finished: int = 512,
     ) -> None:
-        from repro.cache.store import SolutionCache, resolve_cache
+        from repro.cache.store import resolve_cache
 
         self.host = host
         self.port = port
         self.workers = max(1, int(workers))
         self.policy = cache
-        if cache == "off":
-            self.store = None
-        else:
-            self.store = SolutionCache(cache_dir) if cache_dir else resolve_cache()
+        self.store = None if cache == "off" else resolve_cache(cache_dir)
         self.table = JobTable(keep_finished=keep_finished)
         self.queue = JobQueue()
         self.quota = ClientQuota(rate=rate, burst=burst, max_inflight=max_inflight)

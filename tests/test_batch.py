@@ -288,7 +288,7 @@ def test_check_reports_flags_drift_and_low_hit_rate(sweep_manifest_small, tmp_pa
 def test_budget_share_splits_remaining_time():
     budget = Budget(10.0, clock=lambda: 0.0)
     assert budget.share(4) == pytest.approx(2.5)
-    assert Budget.unlimited().share(3) is None
+    assert Budget().share(3) is None
     with pytest.raises(ConfigError):
         budget.share(0)
 

@@ -9,7 +9,6 @@ from repro.robust.budget import (
     cancel_scope,
     cancelled,
 )
-from repro.robust.errors import SolverTimeoutError
 
 
 class FakeClock:
@@ -32,10 +31,9 @@ class TestUnlimited:
         clock.advance(1e9)
         assert not budget.expired
         assert budget.remaining() == float("inf")
-        budget.check()  # no raise
 
     def test_unlimited_constructor(self):
-        assert not Budget.unlimited().expired
+        assert not Budget().expired
 
     def test_elapsed_tracks_clock(self):
         clock = FakeClock(5.0)
@@ -66,24 +64,6 @@ class TestExpiry:
     def test_negative_seconds_rejected(self):
         with pytest.raises(ValueError):
             Budget(-1.0)
-
-
-class TestCheck:
-    def test_graceful_never_raises(self):
-        clock = FakeClock()
-        budget = Budget(0.5, graceful=True, clock=clock)
-        clock.advance(1.0)
-        budget.check("anywhere")  # graceful: caller polls .expired instead
-
-    def test_strict_raises_with_elapsed(self):
-        clock = FakeClock()
-        budget = Budget(0.5, graceful=False, clock=clock)
-        budget.check("early")  # not yet expired
-        clock.advance(2.0)
-        with pytest.raises(SolverTimeoutError) as err:
-            budget.check("carve loop")
-        assert "carve loop" in str(err.value)
-        assert err.value.elapsed == 2.0
 
 
 class TestChild:
@@ -198,13 +178,3 @@ class TestCancellation:
             flag.set()
             clock.advance(0.1)
             assert unlimited.expired and timed.expired
-
-    def test_strict_budget_raises_on_cancellation(self, tmp_path):
-        clock = FakeClock()
-        flag = self._flag(tmp_path, clock)
-        flag.set()
-        clock.advance(0.1)
-        with cancel_scope(flag):
-            budget = Budget(None, graceful=False, clock=clock)
-            with pytest.raises(SolverTimeoutError, match="cancellation"):
-                budget.check("carve loop")

@@ -37,11 +37,19 @@ def test_unknown_circuit_rejected():
         ["partition", "s5378", "--max-retries", "-1"],
         ["partition", "s5378", "--devices-per-carve", "0"],
         ["partition", "s5378", "--devices-per-carve", "-2"],
+        ["partition", "s5378", "--scale", "0"],
+        ["partition", "s5378", "--scale", "2"],
+        ["partition", "s5378", "--scale", "0.1", "--threshold", "-1"],
+        ["partition", "s5378", "--scale", "0.1", "--deadline", "-1"],
+        ["bipartition", "s5378", "--scale", "0.1", "--max-passes", "-1"],
+        ["bipartition", "s5378", "--scale", "0.1", "--balance-tolerance", "-0.5"],
     ],
 )
 def test_out_of_range_solver_flags_exit_before_solving(argv):
     with pytest.raises(
-        SystemExit, match=r"runs|n_solutions|max_retries|devices_per_carve"
+        SystemExit,
+        match=r"runs|n_solutions|max_retries|devices_per_carve|scale|threshold"
+        r"|deadline|max_passes|balance_tolerance",
     ):
         main(argv)
 
@@ -383,3 +391,37 @@ def test_cli_manifest_keys_like_sweep_manifest(tmp_path):
     assert fingerprints(written) == fingerprints(
         sweep_manifest(["s5378"], 0.12, 1994)
     )
+
+
+# ---------------------------------------------------------------------------
+# One circuit resolver: every circuit command maps a run seed like a request
+# ---------------------------------------------------------------------------
+
+
+def _stdout(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["stats", "map", "analyze"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_seed_zero_resolves_the_recorded_circuit(command, json_flag, capsys):
+    base = [command, "s5378", "--scale", "0.1", *json_flag]
+    assert _stdout(capsys, base + ["--seed", "0"]) == _stdout(
+        capsys, base + ["--seed", "1994"]
+    )
+
+
+def test_seed_zero_delta_applies_to_the_seed_zero_partition(capsys, tmp_path):
+    eco = str(tmp_path / "eco0.json")
+    cache = str(tmp_path / "c")
+    circuit = ["s5378", "--scale", "0.1", "--seed", "0"]
+    assert main(["delta", "gen", *circuit, "--fraction", "0.01", "--out", eco]) == 0
+    capsys.readouterr()
+    solve = ["partition", *circuit, "--threshold", "1", "--solutions", "1",
+             "--cache", "use", "--cache-dir", cache]
+    cold = _json_run(capsys, solve)
+    warm = _json_run(capsys, solve + ["--delta", eco])
+    assert cold["cache_info"]["status"] == "miss"
+    assert warm["cache_info"]["warm"]["mode"] == "warm"
+    assert warm["cache_info"]["warm"]["ancestor_key"] == cold["cache_info"]["key"]

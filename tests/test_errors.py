@@ -10,7 +10,6 @@ from repro.robust.errors import (
     InfeasibleError,
     ParseError,
     ReproError,
-    SolverTimeoutError,
     VerificationError,
 )
 
@@ -21,7 +20,6 @@ class TestHierarchy:
             ConfigError,
             InfeasibleError,
             BudgetExceededError,
-            SolverTimeoutError,
             ParseError,
             VerificationError,
         ):
@@ -64,10 +62,6 @@ class TestPayloads:
         sentinel = object()
         err = BudgetExceededError("out of time", log=sentinel)
         assert err.log is sentinel
-
-    def test_solver_timeout_carries_elapsed(self):
-        err = SolverTimeoutError("expired", elapsed=1.25)
-        assert err.elapsed == 1.25
 
     def test_verification_error_carries_violations(self):
         err = VerificationError(["v1", "v2"], circuit="c17")

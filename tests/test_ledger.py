@@ -308,6 +308,16 @@ def test_api_bipartition_autolog(tmp_path, small_mapped):
     assert record["convergence"]["pass_series"], "no FM pass gains captured"
 
 
+def test_plain_fm_pass_series_records_the_starting_cut(tmp_path, small_mapped):
+    ledger = Ledger(str(tmp_path / "led"))
+    with use_ledger(ledger):
+        result = _run(small_mapped, "bipartition", algorithm="fm", runs=2, seed=3)
+    series = result.run_record["convergence"]["pass_series"]
+    assert [s["engine"] for s in series] == ["fm", "fm"]
+    for run in series:
+        assert run["initial_cut"] - sum(run["gains"]) == run["final_cut"]
+
+
 def test_api_runner_path_stores_volatile_runner_log(tmp_path, small_mapped):
     ledger = Ledger(str(tmp_path / "led"))
     with use_ledger(ledger):

@@ -79,28 +79,25 @@ class TestResolveJobs:
 
 class TestBudgetCapture:
     def test_no_budget(self):
-        assert _budget_allotment(None) == (None, True)
-        assert _rebuild_budget(None, True, limited=False) is None
+        assert _budget_allotment(None) is None
+        assert _rebuild_budget(None, limited=False) is None
 
     def test_unlimited_budget(self):
-        remaining, graceful = _budget_allotment(Budget(None))
-        assert remaining is None and graceful is True
-        rebuilt = _rebuild_budget(remaining, graceful, limited=True)
+        remaining = _budget_allotment(Budget(None))
+        assert remaining is None
+        rebuilt = _rebuild_budget(remaining, limited=True)
         assert rebuilt is not None and not rebuilt.expired
 
     def test_limited_budget(self):
-        remaining, graceful = _budget_allotment(Budget(30.0, graceful=False))
+        remaining = _budget_allotment(Budget(30.0))
         assert remaining is not None and 0 < remaining <= 30.0
-        assert graceful is False
-        rebuilt = _rebuild_budget(remaining, graceful, limited=True)
+        rebuilt = _rebuild_budget(remaining, limited=True)
         assert rebuilt is not None
-        assert rebuilt.graceful is False
         assert rebuilt.remaining() <= remaining
 
     def test_expired_budget_rebuilds_expired(self):
         budget = Budget(0.0)
-        remaining, graceful = _budget_allotment(budget)
-        rebuilt = _rebuild_budget(remaining, graceful, limited=True)
+        rebuilt = _rebuild_budget(_budget_allotment(budget), limited=True)
         assert rebuilt is not None and rebuilt.expired
 
 

@@ -120,6 +120,22 @@ def test_request_validation():
         ("devices_per_carve", 1.5),
         ("devices_per_carve", 0),
         ("devices_per_carve", -2),
+        ("scale", 0),
+        ("scale", 2.0),
+        ("scale", -0.5),
+        ("scale", "1"),
+        ("threshold", -1),
+        ("max_passes", -1),
+        ("max_passes", 1.5),
+        ("balance_tolerance", -0.5),
+        ("deadline", "5"),
+        ("deadline", -1),
+        ("fallback", "no"),
+        ("fallback", 0),
+        ("jobs", "2"),
+        ("jobs", 1.5),
+        ("library", ""),
+        ("library", 3),
     ],
 )
 def test_out_of_range_fields_are_rejected(field, value):
@@ -141,6 +157,25 @@ def test_range_limits_themselves_are_accepted():
         max_retries=0, max_growth=0.0,
     )
     assert (request.runs, request.max_retries, request.max_growth) == (1, 0, 0.0)
+    request = build_request(
+        "bipartition", CIRCUIT, scale=1, threshold=0, max_passes=0,
+        balance_tolerance=0, deadline=0, fallback=False, jobs=-1,
+    )
+    assert (request.scale, request.deadline) == (1.0, 0)
+    assert type(request.scale) is float and type(request.deadline) is int
+
+
+def test_int_scale_keys_like_the_command_line():
+    """A manifest or service body's ``"scale": 1`` names the solve the
+    CLI's ``--scale 1`` names: one config fingerprint, one cache key."""
+    from repro.cli import _request_from_args, build_parser
+    from repro.obs.ledger import config_fingerprint
+
+    typed = build_request("partition", CIRCUIT, scale=1)
+    cli = _request_from_args(build_parser().parse_args(
+        ["partition", CIRCUIT, "--scale", "1"]
+    ))
+    assert config_fingerprint(typed.config()) == config_fingerprint(cli.config())
 
 
 # ---------------------------------------------------------------------------

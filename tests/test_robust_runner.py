@@ -27,7 +27,6 @@ from repro.robust.budget import Budget
 from repro.robust.errors import (
     BudgetExceededError,
     ConfigError,
-    SolverTimeoutError,
     VerificationError,
 )
 from repro.robust.faults import Fault, FaultError
@@ -188,7 +187,7 @@ class TestDeadline:
         assert result.run_log.attempts()  # something was tried and logged
 
     def test_graceful_zero_budget_truncates(self, mapped):
-        """An already-expired graceful budget dumps everything into one
+        """An already-expired budget dumps everything into one
         best-effort block."""
         solution = partition_heterogeneous(
             mapped, KWayConfig(budget=Budget(0.0), **FAST)
@@ -197,13 +196,6 @@ class TestDeadline:
         assert solution.k == 1
         assert all_cells_placed(mapped, solution)
         assert solution.summary()["truncated"] is True
-
-    def test_strict_budget_raises(self, mapped):
-        with pytest.raises(SolverTimeoutError):
-            partition_heterogeneous(
-                mapped,
-                KWayConfig(budget=Budget(0.0, graceful=False), **FAST),
-            )
 
 
 class TestRetry:
