@@ -58,7 +58,7 @@ from repro.netlist.benchmarks import RECORDED_SEED, benchmark_circuit
 from repro.netlist.bench_io import load_bench
 from repro.netlist.netlist import Netlist
 from repro.obs import ledger as obs_ledger
-from repro.obs.events import validate_jsonl_file
+from repro.obs.events import EVENT_SCHEMA_VERSION, validate_event, validate_jsonl_file
 from repro.obs.metrics import get_registry
 from repro.obs.summary import summarize_events
 from repro.obs.telemetry import new_trace_id, series
@@ -757,11 +757,18 @@ def analyze(metrics_path: str) -> RunResult:
 
     ``solution`` is a dict with ``events`` (parsed event dicts),
     ``problems`` (schema violations, empty for a conforming stream) and
-    ``summary`` (the human-readable report).
+    ``summary`` (the human-readable report of the events that validate).
     """
     start = perf_counter()
     events, problems = validate_jsonl_file(metrics_path)
-    summary = summarize_events(events) if events else ""
+    # An event whose only problem is its schema version still has the
+    # fields the report reads, so it is summarized (and reported).
+    readable = [
+        event for event in events
+        if isinstance(event, dict)
+        and not validate_event({**event, "v": EVENT_SCHEMA_VERSION})
+    ]
+    summary = summarize_events(readable) if events else ""
     return RunResult(
         kind="analyze",
         solution={"events": events, "problems": problems, "summary": summary},

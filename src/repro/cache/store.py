@@ -44,6 +44,7 @@ from repro.obs.ledger import (
     run_key,
 )
 from repro.obs.metrics import get_registry
+from repro.request import REQUEST_VERBS
 from repro.robust.faults import maybe_fire
 
 #: Version stamped into every cache entry as ``v``.
@@ -60,10 +61,6 @@ CACHE_ENV_VAR = "REPRO_CACHE"
 
 #: Default LRU size cap (bytes) -- generous for JSON solutions.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
-
-#: Entry kinds a conforming store may contain (the cacheable verbs).
-ENTRY_KINDS = ("partition", "bipartition")
-
 
 def cache_key(netlist_hash: str, config: Dict[str, Any], seed: int) -> str:
     """The entry key for a (netlist hash, config, seed) request.
@@ -99,8 +96,10 @@ def build_entry(
     bit-identical across re-runs.  The entry is strict JSON as built, so
     :meth:`SolutionCache.put` serializes it without another copy.
     """
-    if kind not in ENTRY_KINDS:
-        raise ValueError(f"unknown cache entry kind {kind!r}; expected {ENTRY_KINDS}")
+    if kind not in REQUEST_VERBS:
+        raise ValueError(
+            f"unknown cache entry kind {kind!r}; expected {REQUEST_VERBS}"
+        )
     config = _jsonable(config)
     return {
         "v": CACHE_SCHEMA_VERSION,
@@ -132,7 +131,7 @@ def validate_entry(entry: Any) -> List[str]:
           f"v={entry.get('v')!r}, expected {CACHE_SCHEMA_VERSION}")
     check(entry.get("schema") == CACHE_SCHEMA_NAME,
           f"schema={entry.get('schema')!r}, expected {CACHE_SCHEMA_NAME}")
-    check(entry.get("kind") in ENTRY_KINDS, f"unknown kind {entry.get('kind')!r}")
+    check(entry.get("kind") in REQUEST_VERBS, f"unknown kind {entry.get('kind')!r}")
     for field in ("key", "circuit", "netlist_hash", "config_fingerprint"):
         check(isinstance(entry.get(field), str) and bool(entry.get(field)),
               f"{field} must be a non-empty string")
@@ -414,7 +413,6 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_MAX_BYTES",
-    "ENTRY_KINDS",
     "SolutionCache",
     "build_entry",
     "cache_key",

@@ -30,7 +30,7 @@ to every candidate FM run at that level.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.hypergraph.hypergraph import Hypergraph
 
@@ -86,27 +86,47 @@ class CompactHypergraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_hypergraph(cls, hg: Hypergraph) -> "CompactHypergraph":
-        n_nodes = len(hg.nodes)
-        n_nets = len(hg.nets)
+        return cls.from_pins(
+            (node.input_nets + node.output_nets for node in hg.nodes),
+            len(hg.nets),
+            [node.clb_weight for node in hg.nodes],
+            [node.is_cell for node in hg.nodes],
+        )
 
+    @classmethod
+    def from_pins(
+        cls,
+        pins: Iterable[Sequence[int]],
+        n_nets: int,
+        weights: List[int],
+        is_cell: List[bool],
+        net_maxk: Optional[List[int]] = None,
+    ) -> "CompactHypergraph":
+        """Flatten per-node pin lists into the CSR arrays.
+
+        ``pins`` yields, in node index order, each node's pins as net
+        indices: input pins, then output pins, a net repeated once per pin
+        it has on the node.  ``net_maxk`` defaults to the largest per-node
+        pin count of each net; a caller that folds several nodes' pins into
+        one node passes the bound of the unfolded nodes instead.
+        """
+        n_nodes = len(weights)
         node_net_start = [0] * (n_nodes + 1)
         node_nets: List[int] = []
         node_net_counts: List[int] = []
-        net_maxk = [0] * n_nets
+        maxk = [0] * n_nets
         net_degree = [0] * n_nets
 
-        for v, node in enumerate(hg.nodes):
+        for v, node_pins in enumerate(pins):
             counts: Dict[int, int] = {}
-            for net in node.input_nets:
-                counts[net] = counts.get(net, 0) + 1
-            for net in node.output_nets:
+            for net in node_pins:
                 counts[net] = counts.get(net, 0) + 1
             for net, k in counts.items():
                 node_nets.append(net)
                 node_net_counts.append(k)
                 net_degree[net] += 1
-                if k > net_maxk[net]:
-                    net_maxk[net] = k
+                if k > maxk[net]:
+                    maxk[net] = k
             node_net_start[v + 1] = len(node_nets)
 
         # Transpose into net→node CSR, preserving ascending node order.
@@ -127,8 +147,6 @@ class CompactHypergraph:
                 net_node_counts[j] = node_net_counts[i]
                 cursor[e] = j + 1
 
-        weights = [node.clb_weight for node in hg.nodes]
-        is_cell = [node.is_cell for node in hg.nodes]
         return cls(
             n_nodes,
             n_nets,
@@ -138,7 +156,7 @@ class CompactHypergraph:
             net_node_start,
             net_nodes,
             net_node_counts,
-            net_maxk,
+            maxk if net_maxk is None else net_maxk,
             weights,
             is_cell,
         )

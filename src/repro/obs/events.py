@@ -229,6 +229,10 @@ def validate_event(event: Any) -> List[str]:
         for field in ("count", "sum"):
             _check(isinstance(event.get(field), _NUMBER), problems,
                    f"histogram {field} must be a number")
+        for field in ("min", "max"):
+            _check(field in event and (event[field] is None
+                                       or isinstance(event[field], _NUMBER)),
+                   problems, f"histogram {field} must be a number or null")
         buckets = event.get("buckets")
         ok = isinstance(buckets, list) and all(
             isinstance(b, list)

@@ -23,6 +23,8 @@ re-carving from scratch:
    only; everything untouched is hard-fixed and nets leaving the pair
    are pinned permanently cut by per-side pseudo terminals, so the
    repair can only improve the pair's contribution to the global cut.
+   The FM problem holds the dirty instances alone (see
+   :func:`_refine_pair`), so its set-up costs what the edit costs.
 
 The repaired solution is re-finalized with the cold path's own global
 terminal accounting (:func:`repro.partition.kway._finalize`), so eq.1 /
@@ -38,14 +40,16 @@ and the caller runs a full cold solve.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.hypergraph.hypergraph import Hypergraph, NodeKind
+from repro.hypergraph.compact import CompactHypergraph
 from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_SPAN
 from repro.partition.fm import FMConfig, fm_bipartition
-from repro.partition.kway import BlockResult, KWaySolution, _finalize, _initial_state
+from repro.partition.kway import BlockResult, KWaySolution, _finalize
 from repro.robust.budget import Budget
 from repro.techmap.delta import DirtyRegion
 from repro.techmap.mapped import MappedNetlist
@@ -74,7 +78,15 @@ class IncrementalConfig:
 
 @dataclass
 class _WorkBlock:
-    """Mutable view of one block during repair."""
+    """Mutable view of one block during repair.
+
+    ``net_pins`` counts the block's pins (instances and pads) per net, so
+    its keys are the block's nets; it follows every add and pop.  The
+    first ``n_projected`` instances are the projected clean ones, which
+    never move: only later slots can hold a dirty instance.  Fixed
+    instances with several pins on one net record the largest such count
+    in ``fixed_maxk``.
+    """
 
     index: int
     device: object  # Device
@@ -84,33 +96,69 @@ class _WorkBlock:
     outputs: List[List[str]] = field(default_factory=list)
     pads: List[str] = field(default_factory=list)
     pad_nets: Set[str] = field(default_factory=set)
+    net_pins: Counter = field(default_factory=Counter)
+    fixed_maxk: Dict[str, int] = field(default_factory=dict)
+    n_projected: int = 0
+
+    @classmethod
+    def projected(cls, block: BlockResult, kept: List[bool]) -> "_WorkBlock":
+        """The instances of ``block`` that ``kept`` marks, all fixed.
+
+        The pin lists are the previous solution's own (never mutated
+        here); finalize copies them into the new solution.
+        """
+        wb = cls(
+            block.index,
+            block.device,
+            list(compress(block.cells, kept)),
+            list(compress(block.originals, kept)),
+            list(compress(block.cell_inputs, kept)),
+            list(compress(block.cell_outputs, kept)),
+        )
+        wb.n_projected = wb.n_clbs
+        wb.net_pins.update(chain.from_iterable(wb.inputs))
+        wb.net_pins.update(chain.from_iterable(wb.outputs))
+        for pins_in, pins_out in zip(wb.inputs, wb.outputs):
+            wb._note_fixed(pins_in, pins_out)
+        return wb
 
     @property
     def n_clbs(self) -> int:
         return len(self.names)
 
-    def nets(self) -> Set[str]:
-        acc: Set[str] = set(self.pad_nets)
-        for pins in self.inputs:
-            acc.update(pins)
-        for pins in self.outputs:
-            acc.update(pins)
-        return acc
-
-    def add(self, name: str, original: str,
-            pins_in: Sequence[str], pins_out: Sequence[str]) -> None:
+    def add(self, name: str, original: str, pins_in: List[str],
+            pins_out: List[str], fixed: bool) -> None:
         self.names.append(name)
         self.originals.append(original)
-        self.inputs.append(list(pins_in))
-        self.outputs.append(list(pins_out))
+        self.inputs.append(pins_in)
+        self.outputs.append(pins_out)
+        self.net_pins.update(pins_in)
+        self.net_pins.update(pins_out)
+        if fixed:
+            self._note_fixed(pins_in, pins_out)
+
+    def add_pad(self, pad: str, net: str) -> None:
+        self.pads.append(pad)
+        self.pad_nets.add(net)
+        self.net_pins[net] += 1
 
     def pop(self, i: int) -> Tuple[str, str, List[str], List[str]]:
-        return (
-            self.names.pop(i),
-            self.originals.pop(i),
-            self.inputs.pop(i),
-            self.outputs.pop(i),
-        )
+        pins_in, pins_out = self.inputs.pop(i), self.outputs.pop(i)
+        counts = self.net_pins
+        for net in (*pins_in, *pins_out):
+            counts[net] -= 1
+            if not counts[net]:
+                del counts[net]
+        return self.names.pop(i), self.originals.pop(i), pins_in, pins_out
+
+    def _note_fixed(self, pins_in: List[str], pins_out: List[str]) -> None:
+        if len({*pins_in, *pins_out}) == len(pins_in) + len(pins_out):
+            return
+        pins = [*pins_in, *pins_out]
+        for net in set(pins):
+            k = pins.count(net)
+            if k > self.fixed_maxk.get(net, 1):
+                self.fixed_maxk[net] = k
 
 
 def _decline(info: Dict[str, object], reason: str
@@ -146,29 +194,26 @@ def incremental_partition(
     if previous.truncated or not previous.blocks:
         return _decline(info, "previous solution truncated or empty")
 
-    # Fresh working state of the *new* netlist: pin lists filtered to
-    # live nets, exactly as the cold carver builds them.
-    cells, terms = _initial_state(mapped)
-    vcell_of = {c.name: c for c in cells}
+    names = {cell.name for cell in mapped.cells}
 
     # -- 1. projection: keep every instance of every clean original -----
     work: List[_WorkBlock] = []
     covered: Set[str] = set()
     prev_home: Dict[str, int] = {}
     for position, block in enumerate(previous.blocks):
-        wb = _WorkBlock(index=block.index, device=block.device)
-        for name, orig, pins_in, pins_out in zip(
-            block.cells, block.originals, block.cell_inputs, block.cell_outputs
-        ):
-            if orig in vcell_of and orig not in dirty.cells:
-                wb.add(name, orig, pins_in, pins_out)
-                covered.add(orig)
-            else:
+        kept = [
+            orig in names and orig not in dirty.cells
+            for orig in block.originals
+        ]
+        wb = _WorkBlock.projected(block, kept)
+        covered.update(wb.originals)
+        for orig, keep in zip(block.originals, kept):
+            if not keep:
                 prev_home.setdefault(orig, position)
         work.append(wb)
 
     # Pads: previous placement wins for every still-required pad.
-    required = {t.name: t.net for t in terms}
+    required = _required_pads(mapped)
     prev_pad_block = {
         pad: block.index for block in previous.blocks for pad in block.pads
     }
@@ -176,8 +221,7 @@ def incremental_partition(
     for pad, net in required.items():
         home = prev_pad_block.get(pad)
         if home is not None:
-            work[home].pads.append(pad)
-            work[home].pad_nets.add(net)
+            work[home].add_pad(pad, net)
             placed_pads.add(pad)
 
     # -- 2. placement of uncovered cells --------------------------------
@@ -186,40 +230,38 @@ def incremental_partition(
     # included) with it there, so restoring the old structure keeps the
     # terminal pressure of a small edit near zero.  Cells with no
     # previous home (delta-added) fall back to the greediest block by
-    # shared nets.
-    block_nets = [wb.nets() for wb in work]
-    uncovered = [c for c in cells if c.name not in covered]
-    for vc in uncovered:
-        pins = set(vc.inputs) | set(vc.outputs)
-        home = prev_home.get(vc.name)
+    # shared nets.  Every input pin of a cell reads a live net, so the
+    # pin lists are the mapped cell's, as the cold carver builds them.
+    for cell in mapped.cells:
+        if cell.name in covered:
+            continue
+        pins_in, pins_out = list(cell.inputs), list(cell.outputs)
+        home = prev_home.get(cell.name)
         if home is not None and work[home].n_clbs < work[home].device.max_clbs:
             choice = home
         else:
+            pins = set(pins_in) | set(pins_out)
             best: Optional[Tuple[Tuple[int, int], int]] = None
-            for wb, nets in zip(work, block_nets):
+            for wb in work:
                 if wb.n_clbs >= wb.device.max_clbs:
                     continue
-                key = (-len(pins & nets), wb.index)
+                shared = sum(1 for net in pins if net in wb.net_pins)
+                key = (-shared, wb.index)
                 if best is None or key < best[0]:
                     best = (key, wb.index)
             if best is None:
                 return _decline(info, "no block has CLB capacity left")
             choice = best[1]
-        target = work[choice]
-        target.add(vc.name, vc.name, vc.inputs, vc.outputs)
-        block_nets[choice].update(pins)
+        work[choice].add(cell.name, cell.name, pins_in, pins_out,
+                         fixed=cell.name not in dirty.cells)
 
     # Pads that gained a net (e.g. a rewire made a dead primary input
     # live): join the lowest-index block already touching the net.
     for pad, net in required.items():
         if pad in placed_pads:
             continue
-        home = next(
-            (wb.index for wb, nets in zip(work, block_nets) if net in nets), 0
-        )
-        work[home].pads.append(pad)
-        work[home].pad_nets.add(net)
-        block_nets[home].add(net)
+        home = next((wb.index for wb in work if net in wb.net_pins), 0)
+        work[home].add_pad(pad, net)
 
     # Blocks emptied by the delta (every instance dirty, no pads) vanish.
     work = [wb for wb in work if wb.names or wb.pads]
@@ -252,14 +294,15 @@ def incremental_partition(
             cells=list(wb.names),
             originals=list(wb.originals),
             pads=list(wb.pads),
-            nets=wb.nets(),
+            nets=set(wb.net_pins),
             pad_nets=set(wb.pad_nets),
             cell_inputs=[list(p) for p in wb.inputs],
             cell_outputs=[list(p) for p in wb.outputs],
         )
         for wb in work
     ]
-    solution = _finalize(mapped.name, blocks, len(cells), truncated=False)
+    solution = _finalize(mapped.name, blocks, len(mapped.cells),
+                         truncated=False)
 
     if previous.feasible and not solution.feasible:
         # Most commonly IOB overflow: the cold carver packs blocks to
@@ -305,21 +348,28 @@ def incremental_partition(
     return solution, info
 
 
+def _required_pads(mapped: MappedNetlist) -> Dict[str, str]:
+    """Pad name -> net for every pad of ``mapped``, in the cold carver's
+    terminal order: each live primary input (one a cell reads, or that is
+    also a primary output), then each primary output."""
+    read = set(mapped.primary_outputs)
+    for cell in mapped.cells:
+        read.update(cell.inputs)
+    pads = {f"pi:{pi}": pi for pi in mapped.primary_inputs if pi in read}
+    pads.update((f"po:{po}", po) for po in mapped.primary_outputs)
+    return pads
+
+
 def _dirty_pairs(
     work: Sequence[_WorkBlock], touched_nets: Set[str]
 ) -> List[Tuple[int, int]]:
     """Block pairs sharing a net the delta touched, in deterministic order."""
-    homes: Dict[str, Set[int]] = {}
-    for wb in work:
-        for net in wb.nets():
-            if net in touched_nets:
-                homes.setdefault(net, set()).add(wb.index)
     pairs: Set[Tuple[int, int]] = set()
-    for blocks_of_net in homes.values():
-        ordered = sorted(blocks_of_net)
-        for a in range(len(ordered)):
-            for b in range(a + 1, len(ordered)):
-                pairs.add((ordered[a], ordered[b]))
+    for net in touched_nets:
+        homes = [wb.index for wb in work if net in wb.net_pins]
+        for a in range(len(homes)):
+            for b in range(a + 1, len(homes)):
+                pairs.add((homes[a], homes[b]))
     return sorted(pairs)
 
 
@@ -331,91 +381,99 @@ def _refine_pair(
     config: IncrementalConfig,
 ) -> int:
     """Boundary FM between blocks ``i`` and ``j``; only instances whose
-    original is dirty may move.  Returns the number of migrations."""
+    original is dirty may move.  Returns the number of migrations.
+
+    The FM problem holds the movable instances alone, in the order the
+    pair's full hypergraph would number them (block ``i``'s by slot, then
+    block ``j``'s), plus one fixed pseudo node per side.  Each pseudo node
+    carries every fixed pin its side puts on a net a movable instance
+    touches: clean instances, pads, and one pin per side for a net that
+    leaves the pair (it stays cut whatever moves).  Its weight is the
+    side's fixed CLB count.  That keeps every net's side counts and both
+    side sizes, and ``net_maxk`` is the full pair's per-node maximum, not
+    the folded count, so FM's critical window, and with it its move
+    order, is the full pair's.  Nets no movable instance touches are left
+    out: FM never traverses them.
+    """
     wi, wj = work[i], work[j]
     total = wi.n_clbs + wj.n_clbs
     lo0 = max(1, total - wj.device.max_clbs)
     hi0 = min(wi.device.max_clbs, total - 1)
     if lo0 > hi0 or total < 2:
         return 0
-
-    outside: Set[str] = set()
-    for wb in work:
-        if wb.index in (i, j):
-            continue
-        outside.update(wb.nets())
-
-    hg = Hypergraph(f"incr:{i}:{j}")
-    net_obj: Dict[str, object] = {}
-
-    def net_of(name: str):
-        if name not in net_obj:
-            net_obj[name] = hg.add_net(name)
-        return net_obj[name]
-
-    fixed: Dict[int, int] = {}
-    initial: List[int] = []
-    movable_nodes: List[Tuple[int, int, int]] = []  # (node, side, slot)
-    for side, wb in ((0, wi), (1, wj)):
-        for slot, name in enumerate(wb.names):
-            node = hg.add_node(name, NodeKind.CELL)
-            for net in wb.inputs[slot]:
-                hg.connect_input(node, net_of(net))
-            for net in wb.outputs[slot]:
-                hg.connect_output(node, net_of(net))
-            initial.append(side)
-            if wb.originals[slot] in dirty_cells:
-                movable_nodes.append((node.index, side, slot))
-            else:
-                fixed[node.index] = side
-        for pad in wb.pads:
-            kind = NodeKind.PI if pad.startswith("pi:") else NodeKind.PO
-            node = hg.add_node(pad, kind)
-            net = net_of(pad.split(":", 1)[1])
-            if kind is NodeKind.PI:
-                hg.connect_output(node, net)
-            else:
-                hg.connect_input(node, net)
-            initial.append(side)
-            fixed[node.index] = side
-    if not movable_nodes:
+    movable = [
+        (side, slot)
+        for side, wb in ((0, wi), (1, wj))
+        for slot in range(wb.n_projected, wb.n_clbs)
+        if wb.originals[slot] in dirty_cells
+    ]
+    if not movable:
         return 0
-    # Nets leaving the pair are permanently cut: one pseudo terminal per
-    # side keeps FM from "rescuing" them by piling pins onto one side.
-    for name in sorted(set(net_obj) & outside):
-        for side in (0, 1):
-            node = hg.add_node(f"ext{side}:{name}", NodeKind.PO)
-            hg.connect_input(node, net_obj[name])
-            initial.append(side)
-            fixed[node.index] = side
 
+    net_ids: Dict[str, int] = {}
+    pins: List[List[int]] = []
+    for side, slot in movable:
+        wb = wj if side else wi
+        pins.append([
+            net_ids.setdefault(net, len(net_ids))
+            for net in (*wb.inputs[slot], *wb.outputs[slot])
+        ])
+    n_nets = len(net_ids)
+    moving = ([0] * n_nets, [0] * n_nets)
+    net_maxk = [1] * n_nets
+    for (side, _), row in zip(movable, pins):
+        counts = moving[side]
+        for e in row:
+            counts[e] += 1
+        if len(set(row)) < len(row):
+            for e in set(row):
+                net_maxk[e] = max(net_maxk[e], row.count(e))
+
+    others = [wb for wb in work if wb is not wi and wb is not wj]
+    pseudo: Tuple[List[int], List[int]] = ([], [])
+    for net, e in net_ids.items():
+        ext = any(net in wb.net_pins for wb in others)
+        for side, wb in ((0, wi), (1, wj)):
+            fixed_pins = wb.net_pins.get(net, 0) - moving[side][e] + ext
+            pseudo[side].extend([e] * fixed_pins)
+            net_maxk[e] = max(net_maxk[e], wb.fixed_maxk.get(net, 1))
+
+    n_movable = len(movable)
+    on_i = sum(1 for side, _ in movable if side == 0)
+    compact = CompactHypergraph.from_pins(
+        pins + list(pseudo),
+        n_nets,
+        [1] * n_movable
+        + [wi.n_clbs - on_i, wj.n_clbs - (n_movable - on_i)],
+        [True] * n_movable + [False, False],
+        net_maxk,
+    )
     result = fm_bipartition(
-        hg,
+        None,
         FMConfig(
             seed=config.seed,
             max_passes=config.max_passes,
             side0_bounds=(lo0, hi0),
-            fixed=fixed,
+            fixed={n_movable: 0, n_movable + 1: 1},
             budget=config.budget,
             boundary_refine=True,
         ),
-        initial=initial,
+        initial=[side for side, _ in movable] + [0, 1],
+        compact=compact,
     )
 
     # Apply migrations, popping from the highest slot down so earlier
     # slot numbers stay valid.
     migrations = [
-        (node, side, slot)
-        for node, side, slot in movable_nodes
-        if result.assignment[node] != side
+        (side, slot)
+        for v, (side, slot) in enumerate(movable)
+        if result.assignment[v] != side
     ]
-    moves = 0
-    for _, side, slot in sorted(migrations, key=lambda m: -m[2]):
+    for side, slot in sorted(migrations, key=lambda m: -m[1]):
         src, dst = (wi, wj) if side == 0 else (wj, wi)
         name, orig, pins_in, pins_out = src.pop(slot)
-        dst.add(name, orig, pins_in, pins_out)
-        moves += 1
-    return moves
+        dst.add(name, orig, pins_in, pins_out, fixed=False)
+    return len(migrations)
 
 
 __all__ = [

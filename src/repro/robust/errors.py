@@ -113,11 +113,7 @@ class VerificationError(ReproError):
         self.circuit = circuit
 
 
-#: Exception classes the cascade treats as retryable with a new seed or a
-#: degraded engine (anything else non-Repro is retried too, but logged as
-#: an unclassified error).
-RETRYABLE = (InfeasibleError, VerificationError)
-
 #: Exception classes the cascade refuses to retry: the input or the
 #: configuration is wrong and no amount of re-running will change that.
+#: Every other exception is retried with a new seed or a degraded engine.
 FATAL = (ConfigError, ParseError, DeltaError)

@@ -48,7 +48,7 @@ TRACE_LINES = [
 
 def _write_inputs(root: str) -> None:
     """The files the cases read: a ``.bench`` circuit and its ECO edit,
-    and a valid and an invalid trace."""
+    a valid trace, an invalid one and one with a malformed span."""
     from repro.netlist.bench_io import save_bench
     from repro.netlist.benchmarks import benchmark_circuit
     from repro.netlist.gates import GateType
@@ -64,6 +64,9 @@ def _write_inputs(root: str) -> None:
     with open(os.path.join(root, "bad.jsonl"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(TRACE_LINES[0]) + "\n")
         fh.write('{"v": 2, "ts": 101.0, "kind": "counter", "name": "x", "value": 1}\n')
+    with open(os.path.join(root, "malformed.jsonl"), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(TRACE_LINES[0]) + "\n")
+        fh.write('{"v": 1, "kind": "span", "name": "x"}\n')
 
 
 def _cases() -> Dict[str, List[str]]:
@@ -85,7 +88,7 @@ def _cases() -> Dict[str, List[str]]:
         cases[f"delta-diff-bench-{seed_id}"] = [
             "delta", "diff", "{dir}/pin.bench", "{dir}/pin_eco.bench", *seed
         ]
-    for trace in ("trace", "bad"):
+    for trace in ("trace", "bad", "malformed"):
         argv = ["analyze", "--metrics", f"{{dir}}/{trace}.jsonl"]
         cases[f"analyze-metrics-{trace}"] = argv
         cases[f"analyze-metrics-{trace}-json"] = [*argv, "--json"]

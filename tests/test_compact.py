@@ -83,3 +83,29 @@ def test_max_degree(pair):
     hg, csr = pair
     degrees = [len(csr.node_pin_pairs(v)) for v in range(csr.n_nodes)]
     assert csr.max_degree == (max(degrees) if degrees else 0)
+
+
+def test_from_pins_counts_repeated_pins():
+    # Node 0 has two pins on net 0; node 1 three on net 1.
+    csr = CompactHypergraph.from_pins(
+        [[0, 1, 0], [1, 1, 1]], 2, [1, 0], [True, False]
+    )
+    assert csr.node_pin_pairs(0) == [(0, 2), (1, 1)]
+    assert csr.node_pin_pairs(1) == [(1, 3)]
+    assert csr.net_members(1) == [(0, 1), (1, 3)]
+    assert csr.net_maxk == [2, 3]
+    assert csr.max_degree == 2
+
+
+def test_from_pins_takes_the_unfolded_maxk():
+    """A node standing for several folded nodes keeps their counts on the
+    nets but not their critical-window bound."""
+    pins = [[0, 1, 0], [1, 1, 1]]
+    csr = CompactHypergraph.from_pins(pins, 2, [1, 0], [True, False])
+    folded = CompactHypergraph.from_pins(
+        pins, 2, [1, 0], [True, False], net_maxk=[2, 1]
+    )
+    assert folded.net_maxk == [2, 1]
+    for name in ("node_net_start", "node_nets", "node_net_counts",
+                 "net_node_start", "net_nodes", "net_node_counts"):
+        assert getattr(folded, name) == getattr(csr, name)

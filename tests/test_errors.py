@@ -4,7 +4,6 @@ import pytest
 
 from repro.robust.errors import (
     FATAL,
-    RETRYABLE,
     BudgetExceededError,
     ConfigError,
     InfeasibleError,
@@ -36,8 +35,9 @@ class TestHierarchy:
         assert issubclass(ParseError, ValueError)
 
     def test_retryable_and_fatal_are_disjoint(self):
-        assert not set(RETRYABLE) & set(FATAL)
-        for exc in RETRYABLE + FATAL:
+        # The cascade retries every exception outside FATAL.
+        assert not {InfeasibleError, VerificationError} & set(FATAL)
+        for exc in FATAL:
             assert issubclass(exc, ReproError)
 
 

@@ -5,14 +5,22 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
+from repro.cache import codec
 from repro.cache.store import SolutionCache, build_entry, nearest_ancestor, use_cache
 from repro.obs import ledger as obs_ledger
 from repro.core.flow import kway_solution
+from repro.hypergraph.hypergraph import Hypergraph, NodeKind
 from repro.netlist.benchmarks import benchmark_circuit
+from repro.partition import incremental
+from repro.partition.devices import Device
+from repro.partition.fm import FMConfig, fm_bipartition
 from repro.partition.incremental import (
     DEFAULT_MAX_DIRTY_FRACTION,
     IncrementalConfig,
@@ -113,6 +121,190 @@ class TestRepairEngine:
         )
         assert solution is None
         assert "truncated" in info["reason"]
+
+
+def _block_nets(wb):
+    nets = set(wb.pad_nets)
+    for pins in wb.inputs + wb.outputs:
+        nets.update(pins)
+    return nets
+
+
+def _oracle_refine_pair(work, i, j, dirty_cells, config):
+    """The pair FM over the full two-block hypergraph: every instance of
+    both blocks, their pads, and per-side ``ext0:``/``ext1:`` terminals on
+    the nets that leave the pair.  ``_refine_pair`` must migrate exactly
+    what this does."""
+    wi, wj = work[i], work[j]
+    total = wi.n_clbs + wj.n_clbs
+    lo0 = max(1, total - wj.device.max_clbs)
+    hi0 = min(wi.device.max_clbs, total - 1)
+    if lo0 > hi0 or total < 2:
+        return 0
+    outside = set()
+    for wb in work:
+        if wb.index not in (i, j):
+            outside.update(_block_nets(wb))
+
+    hg = Hypergraph(f"incr:{i}:{j}")
+    net_obj = {}
+
+    def net_of(name):
+        if name not in net_obj:
+            net_obj[name] = hg.add_net(name)
+        return net_obj[name]
+
+    fixed, initial, movable = {}, [], []
+    for side, wb in ((0, wi), (1, wj)):
+        for slot, name in enumerate(wb.names):
+            node = hg.add_node(name, NodeKind.CELL)
+            for net in wb.inputs[slot]:
+                hg.connect_input(node, net_of(net))
+            for net in wb.outputs[slot]:
+                hg.connect_output(node, net_of(net))
+            initial.append(side)
+            if wb.originals[slot] in dirty_cells:
+                movable.append((node.index, side, slot))
+            else:
+                fixed[node.index] = side
+        for pad in wb.pads:
+            kind = NodeKind.PI if pad.startswith("pi:") else NodeKind.PO
+            node = hg.add_node(pad, kind)
+            net = net_of(pad.split(":", 1)[1])
+            if kind is NodeKind.PI:
+                hg.connect_output(node, net)
+            else:
+                hg.connect_input(node, net)
+            initial.append(side)
+            fixed[node.index] = side
+    if not movable:
+        return 0
+    for name in sorted(set(net_obj) & outside):
+        for side in (0, 1):
+            node = hg.add_node(f"ext{side}:{name}", NodeKind.PO)
+            hg.connect_input(node, net_obj[name])
+            initial.append(side)
+            fixed[node.index] = side
+
+    result = fm_bipartition(
+        hg,
+        FMConfig(seed=config.seed, max_passes=config.max_passes,
+                 side0_bounds=(lo0, hi0), fixed=fixed, budget=config.budget,
+                 boundary_refine=True),
+        initial=initial,
+    )
+    migrations = [
+        (side, slot) for node, side, slot in movable
+        if result.assignment[node] != side
+    ]
+    for side, slot in sorted(migrations, key=lambda m: -m[1]):
+        src, dst = (wi, wj) if side == 0 else (wj, wi)
+        dst.add(*src.pop(slot), fixed=False)
+    return len(migrations)
+
+
+def _random_work(seed, n_blocks, dirty_fraction):
+    """Blocks as a repair holds them before its pair FM: each block's
+    projected clean instances, then its placed ones (dirty, or clean cells
+    new to the block).  Nets come from one pool, so blocks share them; an
+    input may repeat an input or an output, giving a node several pins on
+    one net."""
+    rng = random.Random(seed)
+    pool = [f"n{e}" for e in range(rng.randint(12, 60))]
+    work, dirty = [], set()
+    for b in range(n_blocks):
+        n_cells = rng.randint(4, 20)
+        device = Device(f"D{b}", clbs=n_cells + rng.randint(0, 5),
+                        terminals=99, price=1.0)
+        wb = incremental._WorkBlock(index=b, device=device)
+        cells = []
+        for c in range(n_cells):
+            outputs = rng.sample(pool, rng.randint(1, 2))
+            inputs = [rng.choice(pool + outputs)
+                      for _ in range(rng.randint(0, 5))]
+            cells.append((f"b{b}c{c}", inputs, outputs))
+        marked = [rng.random() < dirty_fraction for _ in cells]
+        n_projected = rng.randint(0, marked.count(False))
+        clean = [cell for cell, d in zip(cells, marked) if not d]
+        placed = [cell for cell, d in zip(cells, marked) if d]
+        placed += clean[n_projected:]
+        rng.shuffle(placed)
+        for name, inputs, outputs in clean[:n_projected]:
+            wb.add(name, name, inputs, outputs, fixed=True)
+        wb.n_projected = n_projected
+        for (name, inputs, outputs), d in zip(cells, marked):
+            if d:
+                dirty.add(name)
+        for name, inputs, outputs in placed:
+            wb.add(name, name, inputs, outputs, fixed=name not in dirty)
+        for _ in range(rng.randint(0, 3)):
+            net = rng.choice(pool)
+            wb.add_pad(f"{rng.choice(('pi', 'po'))}:{net}", net)
+        work.append(wb)
+    return work, frozenset(dirty)
+
+
+def _layout(work):
+    return [(wb.names, wb.originals, wb.inputs, wb.outputs, wb.pads)
+            for wb in work]
+
+
+class TestPairFMOracle:
+    """``_refine_pair`` builds its FM problem from the dirty instances
+    alone; every pair must come out exactly as the full pair hypergraph
+    leaves it: the same migrations, in the same slot order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10**9),
+        n_blocks=st.integers(2, 4),
+        dirty_fraction=st.floats(0.1, 0.6),
+        max_passes=st.sampled_from([1, 4, 16]),
+    )
+    def test_random_pairs_match_the_full_pair_hypergraph(
+        self, seed, n_blocks, dirty_fraction, max_passes
+    ):
+        config = IncrementalConfig(seed=seed % 1009, max_passes=max_passes)
+        work, dirty = _random_work(seed, n_blocks, dirty_fraction)
+        oracle, _ = _random_work(seed, n_blocks, dirty_fraction)
+        for i in range(n_blocks):
+            for j in range(i + 1, n_blocks):
+                moves = incremental._refine_pair(work, i, j, dirty, config)
+                expected = _oracle_refine_pair(oracle, i, j, dirty, config)
+                assert moves == expected
+                assert _layout(work) == _layout(oracle)
+        for wb in work:
+            assert set(wb.net_pins) == _block_nets(wb)
+
+    def test_seeded_deltas_on_s5378_match_the_full_pair_hypergraph(
+        self, monkeypatch
+    ):
+        """A chain of seeded 1% deltas on s5378 @0.5, the eco-chain
+        workload's design: each step repairs with the dirty-only pair FM
+        and with the oracle, and both solutions encode identically."""
+        mapped = technology_map(benchmark_circuit("s5378", scale=0.5))
+        solution = kway_solution(mapped, threshold=1, n_solutions=1, seed=3,
+                                 seeds_per_carve=1, devices_per_carve=1)
+        config = IncrementalConfig(seed=3)
+        warm = 0
+        for step in range(6):
+            delta = seeded_delta(mapped, fraction=0.01, seed=step)
+            post, dirty = delta.apply(mapped)
+            repaired, info = incremental_partition(
+                post, solution, dirty, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(incremental, "_refine_pair", _oracle_refine_pair)
+                expected, expected_info = incremental_partition(
+                    post, solution, dirty, config)
+            assert info == expected_info
+            if repaired is None:
+                assert expected is None
+                continue
+            assert codec.encode_solution(repaired) == codec.encode_solution(
+                expected)
+            warm += 1
+            mapped, solution = post, repaired
+        assert warm >= 4
 
 
 class TestApiFrontDoor:

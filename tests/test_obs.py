@@ -183,6 +183,10 @@ def test_validate_event_rejects_malformed():
     bad_span = {"v": 1, "ts": 0, "kind": "span", "name": "s", "id": "no",
                 "parent": None, "depth": 0, "dur_s": 0.1, "attrs": {}}
     assert any("span id" in p for p in validate_event(bad_span))
+    no_bounds = {"v": 1, "ts": 0, "kind": "histogram", "name": "h",
+                 "count": 1, "sum": 0.1, "buckets": [[None, 1]]}
+    assert any("histogram min" in p for p in validate_event(no_bounds))
+    assert validate_event({**no_bounds, "min": None, "max": None}) == []
 
 
 def test_validate_events_requires_meta_header():
