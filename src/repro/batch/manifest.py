@@ -32,7 +32,7 @@ manifest.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 from repro.partition.devices import library_by_name
@@ -69,6 +69,11 @@ class BatchJob:
     #: :class:`repro.robust.budget.CancelFlag` and winds the solve down
     #: when the submitting side creates the file.
     cancel_path: Optional[str] = None
+    #: The request's base mapped netlist when the submitting side has
+    #: already built it (the service maps every request to key it), so
+    #: the worker solves on it instead of mapping again; ``None`` maps in
+    #: the worker.
+    mapped: Any = field(default=None, compare=False, repr=False)
 
 
 def threshold_label(threshold: Union[int, float]) -> str:

@@ -132,16 +132,16 @@ def execute_job(job: BatchJob, cache: str = "use") -> JobOutcome:
     job and keep going (the per-job attempt cascade inside the verb
     already handled retry/degradation before an exception escapes).
     A job solves in one process: the batch fans out over jobs, never
-    inside one.
+    inside one.  It solves on the netlist the job carries, if any, and
+    otherwise on the process memo's.
     """
     from repro import api
 
     request = job.request
     start = perf_counter()
     try:
-        result = api.run_request(
-            request, circuit=mapped_netlist(request), cache=cache, jobs=1
-        )
+        mapped = job.mapped if job.mapped is not None else mapped_netlist(request)
+        result = api.run_request(request, circuit=mapped, cache=cache, jobs=1)
         report, quality = solve_row(
             request.verb, result.solution, request.threshold, result.elapsed_seconds
         )

@@ -122,6 +122,25 @@ def fingerprint(payload: Any, length: int = 16) -> str:
     return digest[:length]
 
 
+#: Renders strings and lists with :func:`canonical_json`'s separators.
+_compact_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
+def _cell_fragment(cell: Any) -> str:
+    """``cell``'s entry in the netlist payload, rendered once per cell."""
+    fragment = getattr(cell, "_fingerprint_fragment", None)
+    if fragment is None:
+        fragment = cell._fingerprint_fragment = _compact_json(
+            [
+                cell.name,
+                list(cell.inputs),
+                list(cell.outputs),
+                [sorted(sup) for sup in cell.supports],
+            ]
+        )
+    return fragment
+
+
 def netlist_fingerprint(mapped: Any) -> str:
     """Stable hash of a mapped netlist's partition-relevant structure.
 
@@ -130,26 +149,43 @@ def netlist_fingerprint(mapped: Any) -> str:
     excluded deliberately: two circuits with identical connectivity
     partition identically.
 
-    The payload already holds only strings and lists (supports sorted),
-    so it is rendered directly, skipping :func:`_jsonable`'s copy;
-    :func:`canonical_json` gives the same bytes for it.
+    The digest is the sha256 of :func:`canonical_json` of the payload
+    ``{"name", "pis", "pos", "cells": [[name, inputs, outputs, sorted
+    supports], ...]}``.  Its keys sort as ``cells``, ``name``, ``pis``,
+    ``pos`` and nothing below them is a dict, so the text is assembled
+    from per-cell fragments rendered with the same separators, which
+    gives the same bytes.
+
+    Both are memoized on the objects themselves: the digest at most once
+    per :class:`~repro.techmap.mapped.MappedNetlist` and each fragment at
+    most once per :class:`~repro.techmap.mapped.MappedCell`.  That rests
+    on one invariant: a mapped netlist and its cells are never mutated
+    after construction (every edit, ``NetlistDelta.apply`` included,
+    builds new objects and shares the unedited cells).  A repeated key
+    is then one attribute read, and a post-delta netlist costs its
+    edited cells' renders plus one join and one sha256.  The memos are
+    plain attributes, so they die and pickle with their objects; threads
+    racing to fill one write the same value.
     """
-    payload = {
-        "name": mapped.name,
-        "pis": list(mapped.primary_inputs),
-        "pos": list(mapped.primary_outputs),
-        "cells": [
-            [
-                cell.name,
-                list(cell.inputs),
-                list(cell.outputs),
-                [sorted(sup) for sup in cell.supports],
-            ]
-            for cell in mapped.cells
-        ],
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    digest = getattr(mapped, "_fingerprint", None)
+    if digest is not None:
+        return digest
+    text = "".join(
+        (
+            '{"cells":[',
+            ",".join([_cell_fragment(cell) for cell in mapped.cells]),
+            '],"name":',
+            _compact_json(mapped.name),
+            ',"pis":',
+            _compact_json(list(mapped.primary_inputs)),
+            ',"pos":',
+            _compact_json(list(mapped.primary_outputs)),
+            "}",
+        )
+    )
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    mapped._fingerprint = digest
+    return digest
 
 
 def config_fingerprint(config: Dict[str, Any]) -> str:

@@ -17,20 +17,33 @@ the original mapped netlist -- and reports violations.  It checks:
   a primary-input pad somewhere;
 * **terminal rule** -- block terminal counts match the paper's IOB rule
   (one IOB per net that crosses blocks or carries a local pad);
+* **objectives** -- the reported total device cost (eq. 1) is the sum of
+  the blocks' device prices, and the reported average IOB utilization
+  (eq. 2) is the terminal rule's IOB count over the blocks' IOB capacity;
 * **capacity** -- a solution claiming feasibility satisfies every device's
   CLB window and terminal limit;
 * **pads** -- every primary input that drives logic and every primary
   output pad is placed exactly once.
+
+A solution that reaches the checker is almost always correct, so each
+check first answers with whole-set operations and counts, and runs the
+per-cell or per-net loop that names the violations only when that
+answer is no.  The problem list is the same either way.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, List, Set
 
 from repro.partition.kway import KWaySolution
 from repro.robust.errors import VerificationError
 from repro.techmap.mapped import MappedNetlist
+
+_inputs = attrgetter("inputs")
+_outputs = attrgetter("outputs")
 
 
 def verify_solution(
@@ -47,12 +60,14 @@ def verify_solution(
     (reject-and-retry on corrupt solutions).
     """
     problems: List[str] = []
-    cell_by_name = {cell.name: cell for cell in mapped.cells}
+    cells = mapped.cells
+    blocks = solution.blocks
+    cell_by_name = {cell.name: cell for cell in cells}
 
     # ---- coverage and single-driver ------------------------------------
-    instance_count: Dict[str, int] = defaultdict(int)
-    output_drivers: Dict[str, int] = defaultdict(int)
-    for block in solution.blocks:
+    originals: Set[str] = set()
+    driver_nets: List[str] = []
+    for block in blocks:
         if not (
             len(block.cells)
             == len(block.originals)
@@ -61,29 +76,34 @@ def verify_solution(
         ):
             problems.append(f"block {block.index}: ragged instance arrays")
             continue
-        for orig, outputs in zip(block.originals, block.cell_outputs):
-            instance_count[orig] += 1
-            for net in outputs:
-                output_drivers[net] += 1
-    for cell in mapped.cells:
-        if instance_count.get(cell.name, 0) < 1:
-            problems.append(f"cell {cell.name} has no instance in any block")
-    for cell in mapped.cells:
-        for net in cell.outputs:
-            drivers = output_drivers.get(net, 0)
-            if drivers != 1:
-                problems.append(
-                    f"output net {net!r} of {cell.name} driven by {drivers} instances"
-                )
+        originals.update(block.originals)
+        driver_nets.extend(chain.from_iterable(block.cell_outputs))
+    if not originals.issuperset(cell_by_name):
+        for cell in cells:
+            if cell.name not in originals:
+                problems.append(f"cell {cell.name} has no instance in any block")
+    driven = set(driver_nets)
+    # No net is driven twice and every cell output is driven: then each
+    # cell output has exactly one driver.
+    if len(driven) != len(driver_nets) or not driven.issuperset(
+        chain.from_iterable(map(_outputs, cells))
+    ):
+        output_drivers = Counter(driver_nets)
+        for cell in cells:
+            for net in cell.outputs:
+                drivers = output_drivers.get(net, 0)
+                if drivers != 1:
+                    problems.append(
+                        f"output net {net!r} of {cell.name} driven by {drivers} instances"
+                    )
 
     # ---- support closure ------------------------------------------------
     # The live nets -- the keys of ``mapped.nets()``: every net a cell
     # reads plus every primary output -- without building the driver and
     # sink records that the checks never read.
     live: Set[str] = set(mapped.primary_outputs)
-    for cell in mapped.cells:
-        live.update(cell.inputs)
-    for block in solution.blocks:
+    live.update(chain.from_iterable(map(_inputs, cells)))
+    for block in blocks:
         for orig, inputs, outputs in zip(
             block.originals, block.cell_inputs, block.cell_outputs
         ):
@@ -91,12 +111,20 @@ def verify_solution(
             if cell is None:
                 problems.append(f"block {block.index}: unknown original {orig!r}")
                 continue
+            got = set(inputs)
+            # An instance that is its whole cell needs exactly the union of
+            # the cell's supports.
+            if (
+                outputs == cell.outputs
+                and inputs == cell.inputs
+                and got == set().union(*cell.supports)
+            ):
+                continue
             owned = set(outputs)
             expected: Set[str] = set()
             for oi, net in enumerate(cell.outputs):
                 if net in owned:
                     expected.update(cell.supports[oi])
-            got = set(inputs)
             if not got <= set(cell.inputs):
                 problems.append(
                     f"instance of {orig} in block {block.index} has phantom inputs"
@@ -116,49 +144,67 @@ def verify_solution(
                 )
 
     # ---- net presence and drivers ----------------------------------------
-    for block in solution.blocks:
+    read_nets: Set[str] = set()
+    pi_pads = set()
+    for block in blocks:
         derived: Set[str] = set(block.pad_nets)
-        for inputs in block.cell_inputs:
-            derived.update(inputs)
-        for outputs in block.cell_outputs:
-            derived.update(outputs)
+        derived.update(chain.from_iterable(block.cell_inputs))
+        derived.update(chain.from_iterable(block.cell_outputs))
         if derived != block.nets:
             problems.append(
                 f"block {block.index}: net presence mismatch "
                 f"(+{len(block.nets - derived)}/-{len(derived - block.nets)})"
             )
-    read_nets: Set[str] = set()
-    driven: Set[str] = set(output_drivers)
-    pi_pads = set()
-    for block in solution.blocks:
-        for inputs in block.cell_inputs:
-            read_nets.update(inputs)
+        read_nets.update(chain.from_iterable(block.cell_inputs))
         for pad in block.pads:
             if pad.startswith("pi:"):
                 pi_pads.add(pad[3:])
-    for net in read_nets:
-        if net not in driven and net not in pi_pads:
-            problems.append(f"net {net!r} is read but driven nowhere")
+    undriven = read_nets - driven
+    if undriven and not pi_pads.issuperset(undriven):
+        for net in read_nets:
+            if net not in driven and net not in pi_pads:
+                problems.append(f"net {net!r} is read but driven nowhere")
 
     # ---- terminal rule ----------------------------------------------------
-    net_blocks: Dict[str, Set[int]] = defaultdict(set)
-    for block in solution.blocks:
-        for net in block.nets:
-            net_blocks[net].add(block.index)
-    for block in solution.blocks:
-        expect = sum(
-            1
-            for net in block.nets
-            if len(net_blocks[net]) > 1 or net in block.pad_nets
-        )
+    # A net spans blocks when blocks of two different indices hold it; a
+    # repeated index counts once, so blocks are grouped by index first.
+    by_index: Dict[int, Set[str]] = {}
+    for block in blocks:
+        nets = by_index.get(block.index)
+        by_index[block.index] = block.nets if nets is None else nets | block.nets
+    seen: Set[str] = set()
+    spanning: Set[str] = set()
+    for nets in by_index.values():
+        spanning.update(seen.intersection(nets))
+        seen.update(nets)
+    used: List[int] = []
+    for block in blocks:
+        local = block.nets - spanning
+        expect = len(block.nets) - len(local) + len(local.intersection(block.pad_nets))
+        used.append(expect)
         if block.terminals != expect:
             problems.append(
                 f"block {block.index}: terminals {block.terminals} != expected {expect}"
             )
 
+    # ---- objectives ---------------------------------------------------------
+    total_cost = sum(block.device.price for block in blocks)
+    if total_cost != solution.cost.total_cost:
+        problems.append(
+            f"eq. 1: total device cost {total_cost} != reported "
+            f"{solution.cost.total_cost}"
+        )
+    capacity = sum(block.device.terminals for block in blocks)
+    iob_utilization = sum(used) / capacity if capacity else 0.0
+    if iob_utilization != solution.cost.avg_iob_utilization:
+        problems.append(
+            f"eq. 2: average IOB utilization {iob_utilization} != reported "
+            f"{solution.cost.avg_iob_utilization}"
+        )
+
     # ---- capacity -----------------------------------------------------------
     if solution.feasible:
-        for block in solution.blocks:
+        for block in blocks:
             if not block.device.fits(block.n_clbs, block.terminals):
                 problems.append(
                     f"block {block.index} claims feasibility but violates "
@@ -168,7 +214,7 @@ def verify_solution(
 
     # ---- pads -----------------------------------------------------------------
     pad_placements: Dict[str, int] = defaultdict(int)
-    for block in solution.blocks:
+    for block in blocks:
         for pad in block.pads:
             pad_placements[pad] += 1
     for pad, count in pad_placements.items():

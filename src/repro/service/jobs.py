@@ -72,6 +72,10 @@ class Job:
     #: (via :class:`~repro.robust.budget.CancelFlag`) wind the solve
     #: down at the next checkpoint.
     cancel_path: Optional[str] = None
+    #: The base mapped netlist the submit-time cache lookup built to key
+    #: the request, held while the job is queued and handed to the pool
+    #: worker at dispatch (the server then drops it).
+    mapped: Any = field(default=None, compare=False, repr=False)
 
     @property
     def terminal(self) -> bool:
@@ -80,12 +84,14 @@ class Job:
     def to_batch_job(self) -> BatchJob:
         """The pool-executable form of this job: its request, trace id
         included, so worker-side spans and the ledger record carry the
-        id the service minted at submit."""
+        id the service minted at submit, and its netlist, so the worker
+        does not map it again."""
         return BatchJob(
             job_id=self.job_id,
             request=self.request,
             priority=self.priority,
             cancel_path=self.cancel_path,
+            mapped=self.mapped,
         )
 
     def snapshot(self) -> Dict[str, Any]:

@@ -37,7 +37,9 @@ Endpoints (all JSON; the request schema is ``repro-partition-request/1``):
 
 Design rules: all job/queue state is touched only on the event loop
 thread; anything blocking (technology mapping, cache reads, pool
-collection) runs in executor threads; results travel through the
+collection) runs in executor threads; a miss is mapped once, by the
+submit-time lookup that needs the netlist for its key, and the pool
+worker solves on that netlist; results travel through the
 solution cache (workers store, the parent re-reads), so a service
 response is bit-identical to the same request run through ``repro.api``
 directly.  Refusals are explicit: malformed requests get 400, unknown
@@ -208,29 +210,36 @@ class PartitionService:
 
     # -- blocking helpers (executor threads only) -----------------------
 
-    def _hot_result(self, request: PartitionRequest) -> Optional[Dict[str, Any]]:
-        """The serialized result of a trustworthy cache hit, else ``None``.
+    def _hot_result(
+        self, request: PartitionRequest
+    ) -> Tuple[Optional[Dict[str, Any]], Any]:
+        """``(document, base netlist)``: the serialized result of a
+        trustworthy cache hit (else ``None``) and the base mapped netlist
+        that keyed it (``None`` when no lookup runs).
 
         Repeat hits on the same key are O(1): the verified result
         document is memoized, so the hot path costs one dict lookup
         after the first request (plus the mapping build, memoized per
         process by :func:`~repro.batch.worker.mapped_netlist`, one delta
-        apply and one fingerprint).
+        apply and one fingerprint, itself memoized on the netlist).  A
+        miss hands the base netlist to its job, so the pool worker solves
+        on it instead of mapping it again.
         """
         if self.store is None or self.policy != "use":
-            return None
-        mapped, key = request.keyed_netlist(mapped_netlist(request))
+            return None, None
+        base = mapped_netlist(request)
+        mapped, key = request.keyed_netlist(base)
         memo = self._result_memo.get(key)
         if memo is not None:
-            return memo
+            return memo, base
         result = api._cached_lookup(request, self.store, mapped, key)
         if result is None:
-            return None
+            return None, base
         doc = result.to_dict()
         if len(self._result_memo) >= _RESULT_MEMO_CAP:
             self._result_memo.pop(next(iter(self._result_memo)))
         self._result_memo[key] = doc
-        return doc
+        return doc, base
 
     def _collect(self, future: Any) -> Any:
         return self._pool.collect(future)
@@ -263,6 +272,7 @@ class PartitionService:
 
     def _finish(self, job: Job, state: str, **fields: Any) -> None:
         job.state = state
+        job.mapped = None
         job.finished_ts = time.time()
         if "error" in fields:
             job.error = fields["error"]
@@ -322,6 +332,9 @@ class PartitionService:
             pool = self._pool
             try:
                 job.future = pool.submit(job.to_batch_job())
+                # The netlist travels with the pool task; the job table
+                # keeps finished jobs, so the job itself lets it go.
+                job.mapped = None
                 outcome = await loop.run_in_executor(None, self._collect, job.future)
             except asyncio.CancelledError:
                 raise
@@ -352,7 +365,7 @@ class PartitionService:
             if outcome.status in ("ok", "degraded"):
                 doc = None
                 if self.store is not None:
-                    doc = await loop.run_in_executor(
+                    doc, _ = await loop.run_in_executor(
                         None, self._hot_result, job.request
                     )
                 if doc is None:
@@ -601,7 +614,7 @@ class PartitionService:
         status, payload, job = self._submit_job(request, client, priority)
         loop = asyncio.get_running_loop()
         try:
-            hot = await loop.run_in_executor(None, self._hot_result, request)
+            hot, mapped = await loop.run_in_executor(None, self._hot_result, request)
         except Exception as exc:  # noqa: BLE001 - bad circuit names etc.
             self._finish(job, "failed", error=f"{type(exc).__name__}: {exc}")
             await _respond(writer, 400, {"error": f"{type(exc).__name__}: {exc}"})
@@ -613,6 +626,7 @@ class PartitionService:
             self._finish(job, "done", status="ok", cache_status="hit")
             await _respond(writer, 200, self._job_doc(job))
             return
+        job.mapped = mapped
         self.queue.push(job)
         self._wake.set()
         await _respond(writer, status, payload)

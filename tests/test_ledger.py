@@ -1,7 +1,9 @@
 """Run ledger: fingerprints, record store, determinism, CLI flows."""
 
+import hashlib
 import json
 import os
+import pickle
 
 import pytest
 
@@ -64,26 +66,36 @@ def test_fingerprint_stability(small_mapped):
     assert netlist_fingerprint(small_mapped) != netlist_fingerprint(other)
 
 
+def _payload(mapped):
+    """The netlist fingerprint's payload, built afresh."""
+    return {
+        "name": mapped.name,
+        "pis": list(mapped.primary_inputs),
+        "pos": list(mapped.primary_outputs),
+        "cells": [
+            [
+                cell.name,
+                list(cell.inputs),
+                list(cell.outputs),
+                [sorted(sup) for sup in cell.supports],
+            ]
+            for cell in mapped.cells
+        ],
+    }
+
+
 def _jsonable_route_fingerprint(mapped):
     """The netlist digest as every revision before the direct render
     computed it: the same payload through ``canonical_json``'s
     ``_jsonable`` copy."""
-    return fingerprint(
-        {
-            "name": mapped.name,
-            "pis": list(mapped.primary_inputs),
-            "pos": list(mapped.primary_outputs),
-            "cells": [
-                [
-                    cell.name,
-                    list(cell.inputs),
-                    list(cell.outputs),
-                    [sorted(sup) for sup in cell.supports],
-                ]
-                for cell in mapped.cells
-            ],
-        }
-    )
+    return fingerprint(_payload(mapped))
+
+
+def _direct_render_fingerprint(mapped):
+    """The netlist digest rendered in one piece, reading and writing no
+    memo: one ``json.dumps`` over the whole payload."""
+    text = json.dumps(_payload(mapped), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def test_netlist_fingerprint_pins_the_flat_golden_hash():
@@ -91,7 +103,9 @@ def test_netlist_fingerprint_pins_the_flat_golden_hash():
     # partition_s5378_quick.jsonl) solved s5378 @0.25 at mapping seed 1994.
     mapped = map_circuit("s5378", scale=0.25, seed=1994)
     assert netlist_fingerprint(mapped) == "e6c8b2f93f78a0c6"
+    assert netlist_fingerprint(mapped) == "e6c8b2f93f78a0c6"  # the memo
     assert _jsonable_route_fingerprint(mapped) == "e6c8b2f93f78a0c6"
+    assert _direct_render_fingerprint(mapped) == "e6c8b2f93f78a0c6"
 
 
 def test_netlist_fingerprint_equals_the_jsonable_route(
@@ -109,6 +123,126 @@ def test_netlist_fingerprint_equals_the_jsonable_route(
     for mapped in netlists:
         assert netlist_fingerprint(mapped) == _jsonable_route_fingerprint(mapped), (
             mapped.name)
+
+
+@pytest.mark.parametrize("scale", [0.1, 0.25])
+def test_memoized_fingerprint_equals_the_direct_render(scale):
+    from repro.netlist.benchmarks import BENCHMARK_NAMES
+
+    for name in BENCHMARK_NAMES:
+        mapped = map_circuit(name, scale=scale, seed=1994)
+        expected = _direct_render_fingerprint(mapped)
+        assert netlist_fingerprint(mapped) == expected, name
+        # The repeat reads the memo and must still agree.
+        assert netlist_fingerprint(mapped) == expected, name
+
+
+@pytest.mark.parametrize("name, scale", [("s5378", 0.25), ("c3540", 0.25)])
+def test_memoized_fingerprint_along_a_delta_chain(name, scale):
+    from repro.techmap.delta import seeded_delta
+
+    mapped = map_circuit(name, scale=scale, seed=1994)
+    netlist_fingerprint(mapped)
+    for step in range(6):
+        mapped = seeded_delta(mapped, fraction=0.01, seed=step).apply(mapped)[0]
+        assert netlist_fingerprint(mapped) == _direct_render_fingerprint(mapped), step
+
+
+def test_memoized_fingerprint_survives_pickling():
+    from repro.techmap.delta import seeded_delta
+
+    base = map_circuit("s9234", scale=0.1, seed=1994)
+    keyed = pickle.loads(pickle.dumps(base))
+    digest = netlist_fingerprint(keyed)
+    # Memos travel with the objects they belong to ...
+    copy = pickle.loads(pickle.dumps(keyed))
+    assert netlist_fingerprint(copy) == digest == _direct_render_fingerprint(base)
+    # ... and a delta applied to the copy keys like one applied to a
+    # netlist that never held a memo.
+    delta = seeded_delta(base, fraction=0.02, seed=5)
+    fresh = delta.apply(pickle.loads(pickle.dumps(base)))[0]
+    assert netlist_fingerprint(delta.apply(copy)[0]) == _direct_render_fingerprint(fresh)
+
+
+def test_fingerprint_renders_only_what_it_has_not_rendered(monkeypatch):
+    from repro.techmap.delta import seeded_delta
+
+    base = map_circuit("s5378", scale=0.25, seed=1994)
+    digest = netlist_fingerprint(base)
+    post = seeded_delta(base, fraction=0.02, seed=9).apply(base)[0]
+    shared = {id(cell) for cell in base.cells}
+    edited = sum(1 for cell in post.cells if id(cell) not in shared)
+    assert 0 < edited < len(post.cells)
+
+    renders = []
+    real_render = obs_ledger._compact_json
+    real_dumps = json.dumps
+
+    def counting_render(value):
+        renders.append(value)
+        return real_render(value)
+
+    def counting_dumps(*args, **kwargs):
+        renders.append(args[0])
+        return real_dumps(*args, **kwargs)
+
+    monkeypatch.setattr(obs_ledger, "_compact_json", counting_render)
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    # An already keyed netlist renders nothing.
+    assert netlist_fingerprint(base) == digest
+    assert renders == []
+    # A post-delta netlist renders its edited cells, its name and its pads.
+    post_digest = netlist_fingerprint(post)
+    assert len(renders) == edited + 3
+    assert netlist_fingerprint(post) == post_digest
+    assert len(renders) == edited + 3
+    monkeypatch.undo()
+    assert post_digest == _direct_render_fingerprint(post)
+
+
+def test_concurrent_fingerprints_agree_with_the_direct_render():
+    import sys
+    import threading
+
+    from repro.techmap.delta import seeded_delta
+
+    base = map_circuit("s5378", scale=0.25, seed=1994)
+    netlists = [base] + [
+        seeded_delta(base, fraction=0.02, seed=seed).apply(base)[0]
+        for seed in range(4)
+    ]
+    expected = [_direct_render_fingerprint(mapped) for mapped in netlists]
+    n_threads = 8
+    start = threading.Barrier(n_threads)
+    results = []
+    lock = threading.Lock()
+
+    def key_all():
+        start.wait(30)
+        digests = [netlist_fingerprint(mapped) for mapped in netlists]
+        with lock:
+            results.append(digests)
+
+    threads = [threading.Thread(target=key_all) for _ in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * n_threads
+    # Racing writers leave every memo holding what one writer would.
+    for mapped in netlists:
+        for cell in mapped.cells:
+            assert cell._fingerprint_fragment == json.dumps(
+                [cell.name, cell.inputs, cell.outputs,
+                 [sorted(sup) for sup in cell.supports]],
+                separators=(",", ":"),
+            )
 
 
 def test_run_key_depends_on_all_components():

@@ -148,13 +148,37 @@ def test_hot_lookup_applies_the_delta_and_fingerprints_once(tmp_path, monkeypatc
 
     monkeypatch.setattr(NetlistDelta, "apply", counting_apply)
     monkeypatch.setattr(obs_ledger, "netlist_fingerprint", counting_fingerprint)
-    doc = service._hot_result(request)
+    doc, mapped = service._hot_result(request)
+    assert mapped is base
     assert counts == {"apply": 1, "fingerprint": 1}
     assert doc["cache_info"]["status"] == "hit"
     assert doc["cache_info"]["key"] == solved.cache_info["key"]
     assert doc["solution"] == solved.to_dict()["solution"]
     # The public lookup answers the same document.
     assert api.cached_result(request, store=service.store).to_dict() == doc
+
+
+def test_execute_job_solves_on_the_netlist_it_carries(monkeypatch):
+    from repro.batch import worker
+    from repro.batch.manifest import BatchJob
+
+    request = quick_request(seed=41)
+    mapped = api.map(
+        request.circuit, scale=request.scale, seed=request.mapping_seed
+    ).solution
+
+    def no_mapping(*args, **kwargs):
+        raise RuntimeError("mapped again")
+
+    monkeypatch.setattr(worker, "_NETLISTS", {})
+    monkeypatch.setattr(api, "map_circuit", no_mapping)
+    carried = worker.execute_job(
+        BatchJob(job_id="carried", request=request, mapped=mapped), cache="off"
+    )
+    assert carried.status == "ok", carried.error
+    # Without the netlist the worker maps, which the patch refuses.
+    bare = worker.execute_job(BatchJob(job_id="bare", request=request), cache="off")
+    assert bare.status == "failed" and "mapped again" in bare.error
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +256,27 @@ def test_submit_solve_hit_and_stream(served):
     assert events[0] == "job.queued"
     assert "job.start" in events and "job.done" in events
     assert events[-1] == "stream.end"
+
+
+def test_a_miss_ships_its_netlist_and_the_finished_job_drops_it(tmp_path):
+    thread = ServiceThread(workers=1, cache="use", cache_dir=str(tmp_path))
+    with thread as client:
+        service = thread.service
+        shipped = []
+        submit = service._pool.submit
+
+        def recording_submit(batch_job):
+            shipped.append(batch_job.mapped)
+            return submit(batch_job)
+
+        service._pool.submit = recording_submit
+        reply = client.submit(quick_request(seed=43))
+        assert reply["_http_status"] == 202
+        assert client.wait(reply["job_id"], timeout=300)["state"] == "done"
+        assert service.table.get(reply["job_id"]).mapped is None
+    # The pool task carried the netlist the submit-time lookup keyed.
+    assert len(shipped) == 1 and shipped[0] is not None
+    assert shipped[0].n_cells > 0
 
 
 def test_cancel_queued_job(served):
