@@ -20,7 +20,13 @@ Differences from the textbook presentation, forced by the pin-level model:
   invalidation.  Selection order -- highest gain, ties broken by earliest
   push, side 0 preferred on cross-side ties -- reproduces the original
   lazy-heap engine (kept verbatim in :mod:`repro.partition.reference`)
-  bit for bit; ``tests/test_fm_equivalence.py`` enforces this.
+  bit for bit; ``tests/test_fm_equivalence.py`` enforces this;
+* a pass stops as soon as its best prefix is decided: a net with locked
+  pins on both sides stays cut until the rollback, so once the
+  pass-start cut minus the number of such nets is no more than the best
+  gain so far, no later move can change the pass's outcome.  The stop
+  is exact -- the same moves, best prefix, rollback and pass gain as a
+  full pass -- and only ``fm.moves`` and ``fm.thaws`` fall.
 
 The hypergraph is traversed through a shared read-only
 :class:`~repro.hypergraph.compact.CompactHypergraph` (flat CSR incidence
@@ -485,7 +491,11 @@ def _run_pass(state: _FMState) -> int:
     always carries the exact post-move gain (a node's gain only depends
     on its own nets, and each shared net's delta lands before that net's
     push), and earlier pushes are stamp-invalidated exactly as in the
-    reference engine, so selection order is preserved bit for bit.
+    reference engine, so selection order is preserved bit for bit.  The
+    pass ends early once no later prefix can beat its best one (the
+    dead-net bound of the module docstring); fixed nodes seed the bound,
+    so a pass whose cut nets are all dead from the start returns 0
+    without moving.
     """
     if state._gains_dirty:
         state._recompute_gains()
@@ -505,6 +515,25 @@ def _run_pass(state: _FMState) -> int:
     buckets = (_GainBuckets(cp.max_degree), _GainBuckets(cp.max_degree))
     push0, push1 = buckets[0].push, buckets[1].push
     peek0, peek1 = buckets[0].peek, buckets[1].peek
+
+    # Exact stop, as in the replication engine's pass loop: lmask[net]
+    # holds bit 1 << side for each side with a locked pin, dead counts the
+    # nets that read 3.  Such a net stays cut until the rollback, so once
+    # start_cut - dead <= best_gain no later prefix can improve the pass.
+    lmask = [0] * cp.n_nets
+    dead = 0
+    for u in fixed_set:
+        bit = 1 << side[u]
+        for i in range(nns[u], nns[u + 1]):
+            net = nn[i]
+            m = lmask[net]
+            if not m & bit:
+                lmask[net] = m | bit
+                if m | bit == 3:
+                    dead += 1
+    start_cut = state._cut
+    if start_cut - dead <= 0:
+        return 0  # no prefix can gain: the full pass would undo itself
 
     pc = state._push_counter
     if state.config.boundary_refine:
@@ -570,6 +599,8 @@ def _run_pass(state: _FMState) -> int:
         gain = gains[chosen]
         s = side[chosen]
         locked[chosen] = True
+        new_bit = 2 if s == 0 else 1
+        other_bit = 3 - new_bit
         # Fused move: counts + cut + delta-gains + pushes in one traversal.
         cut = state._cut
         for i in range(nns[chosen], nns[chosen + 1]):
@@ -590,6 +621,11 @@ def _run_pass(state: _FMState) -> int:
                     cut -= 1
             elif nf > 0:
                 cut += 1
+            m = lmask[net]
+            if not m & new_bit:
+                lmask[net] = m | new_bit
+                if m == other_bit:
+                    dead += 1
             w = maxk[net]
             if f > w and t > w and nf > w and nt > w:
                 continue
@@ -633,6 +669,8 @@ def _run_pass(state: _FMState) -> int:
         if cumulative > best_gain:
             best_gain = cumulative
             best_index = n_moves
+        if start_cut - dead <= best_gain:
+            break  # the best prefix is decided
 
         if (
             budget is not None

@@ -22,6 +22,13 @@ gain of moving one instance onto the other).  All gains are exact cut
 deltas computed from per-net pin counts; ``tests/test_gain_model.py``
 property-checks them against the closed-form expressions of
 :mod:`repro.replication.gains`.
+
+A pass stops as soon as its best prefix is decided: a net with locked
+pins on both sides stays cut until the rollback, so once the pass-start
+cut minus the number of such nets is no more than the best gain so far,
+no later move can change the pass's outcome.  The stop is exact -- the
+same moves, best prefix, rollback and pass gain as a full pass -- and
+only the committed-move counters fall (see ``_run_pass_body``).
 """
 
 from __future__ import annotations
@@ -58,6 +65,20 @@ _PASS_SECONDS_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0)
 _SINGLE = 0
 _REPLICATE = 2
 _UNREPLICATE = 4
+
+
+def _lock_pins(lmask: List[int], pins: Iterable[Tuple[int, int, int]]) -> int:
+    """Set bit ``1 << side`` in ``lmask[net]`` for each ``(net, side, count)``
+    pin of a locked instance; returns how many nets now read 3."""
+    newly_dead = 0
+    for net, s, _ in pins:
+        m = lmask[net]
+        bit = 1 << s
+        if not m & bit:
+            lmask[net] = m | bit
+            if m | bit == 3:
+                newly_dead += 1
+    return newly_dead
 
 
 @dataclass
@@ -396,6 +417,15 @@ class ReplicationEngine:
                         n_out >= 2 or cfg.allow_single_output_traditional
                     ):
                         self._repl_arity[v] = -1
+        # The output nets of the traditional candidates: the only nets a
+        # replication-phase pass can split or un-split, so the pass
+        # loop's stop never counts them as dead.
+        self._splittable_nets = {
+            net
+            for v, arity in enumerate(self._repl_arity)
+            if arity < 0
+            for net in tables.output_nets[v]
+        }
 
         # Scratch arrays for delta accumulation (replacing per-call dicts
         # on the gain/commit hot path): per-net side-0/side-1/split deltas
@@ -996,6 +1026,20 @@ class ReplicationEngine:
         rollback touches counts, sides and sizes only.  The cut is not
         tracked move by move: the pass ends by setting it to the
         pass-start cut minus the best gain, where the rollback lands.
+
+        The pass stops once its best prefix is decided.  ``lmask[net]``
+        holds bit ``1 << side`` for each side with a locked pin on the
+        net (fixed nodes from the start, each mover's new state after its
+        commit), and ``dead`` counts the nets whose mask reads 3.  A
+        locked node keeps its state until the rollback, so a dead net
+        stays cut and no later prefix gains more than ``start_cut -
+        dead``; once that is at most ``best_gain``, which moves only on a
+        strict improvement, the rest of the pass cannot change its best
+        index, and the pass rolls back as a full one would.  A
+        traditional replication splits its output nets, so in a
+        replication-phase pass the candidates' output nets start at 4
+        and never read 3; moves-only passes run before any replication
+        and split nothing.
         """
         classes = self.tables.move_classes
         move_class = self.tables.move_class
@@ -1022,6 +1066,16 @@ class ReplicationEngine:
         pc = self._push_counter
         start_cut = self._cut
         seen = [0] * len(locked)  # refresh dedup, marked with the move count
+
+        lmask = [0] * len(counts)
+        if not self._moves_only:
+            for net in self._splittable_nets:
+                lmask[net] = 4
+        dead = 0
+        for v in self.fixed_set:
+            dead += _lock_pins(lmask, self.active_pins(v))
+        if start_cut - dead <= 0:
+            return 0  # no prefix can gain: the full pass would undo itself
 
         undo: List[Tuple[int, int, Optional[Tuple[int, int]]]] = []
         cumulative = 0
@@ -1089,6 +1143,8 @@ class ReplicationEngine:
             locked[v] = True
             refresh: List[int] = []
             if single:
+                new_bit = 2 if s == 0 else 1
+                other_bit = 3 - new_bit
                 for net, k in all_pins[v]:
                     c = counts[net]
                     b0 = c[0]
@@ -1101,6 +1157,11 @@ class ReplicationEngine:
                         a1 = b1 - k
                     c[0] = a0
                     c[1] = a1
+                    m = lmask[net]
+                    if not m & new_bit:
+                        lmask[net] = m | new_bit
+                        if m == other_bit:
+                            dead += 1
                     w = net_maxk[net]
                     window = 2 * w + 1
                     if a0 <= window or a1 <= window:
@@ -1148,6 +1209,7 @@ class ReplicationEngine:
                     window = 2 * net_maxk[net] + 1
                     if c[0] <= window or c[1] <= window:
                         refresh.append(net)
+                dead += _lock_pins(lmask, self.active_pins(v))
                 if new_rep is not None:
                     n_repl += 1
                 else:
@@ -1156,6 +1218,8 @@ class ReplicationEngine:
             if cumulative > best_gain:
                 best_gain = cumulative
                 best_index = len(undo)
+            if start_cut - dead <= best_gain:
+                break  # the best prefix is decided: see the docstring
 
             if (
                 budget is not None
