@@ -170,7 +170,7 @@ def _eco_cycle(name, netlist):
     # solve on the frozen reference engine.  Neither side moves when the
     # fast cold engine does.
     post, dirty = delta.apply(mapped)
-    repair = IncrementalConfig(seed=SEED, max_passes=eco_request.max_passes)
+    repair = IncrementalConfig(seed=SEED)
     reference = KWayConfig(threshold=1, seed=SEED, engine="reference")
     stats, (repaired, _), ref = paired_timing(
         lambda: incremental_partition(post, cold.solution, dirty, repair),

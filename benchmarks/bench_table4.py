@@ -7,6 +7,7 @@ replication-enabled flow costs more CPU than the baseline.
 
 from benchmarks.conftest import run_once
 from repro.experiments import tables4to7
+from repro.replication.potential import T_INFINITY
 
 
 def test_bench_table4(benchmark, kway_sweep, scale):
@@ -16,6 +17,6 @@ def test_bench_table4(benchmark, kway_sweep, scale):
         assert 0.0 <= pct <= 30.0  # moderate replication on average
     # No-replication baseline really replicates nothing.
     for name in {n for n, _ in kway_sweep}:
-        assert kway_sweep[(name, tables4to7.INF)].replicated_fraction == 0.0
+        assert kway_sweep[(name, T_INFINITY)].replicated_fraction == 0.0
     print()
     print(result.text())

@@ -64,6 +64,7 @@ from repro.obs.summary import summarize_events
 from repro.obs.telemetry import new_trace_id, series
 from repro.partition.devices import XC3000_LIBRARY, DeviceLibrary, library_by_name
 from repro.partition.kway import KWayConfig
+from repro.partition.multilevel import resolve_multilevel
 from repro.partition.verify import verify_solution
 from repro.robust.budget import cancelled as _job_cancelled
 from repro.robust.errors import DeltaError
@@ -348,7 +349,7 @@ def _try_warm_solve(
         mapped,
         previous,
         dirty,
-        IncrementalConfig(seed=request.seed, max_passes=request.max_passes),
+        IncrementalConfig(seed=request.seed),
     )
     info["ancestor_key"] = entry.get("key")
     info["ancestor_elapsed"] = entry.get("elapsed_seconds")
@@ -366,7 +367,6 @@ def _solve(
     mapped: MappedNetlist,
     library: Optional[DeviceLibrary],
     n_jobs: int,
-    use_ml: bool,
 ) -> tuple:
     """``(solution, RunLog)``: the request's cold solve, one attempt
     cascade (:func:`~repro.robust.runner.run_cascade`) for both verbs.
@@ -391,7 +391,7 @@ def _solve(
                 max_growth=request.max_growth,
                 budget=budget,
                 jobs=n_jobs,
-                multilevel=use_ml,
+                multilevel=request.multilevel,
             )
             return report, (report.truncated, False, report.best_cut)
 
@@ -412,7 +412,7 @@ def _solve(
                 devices_per_carve=devices,
                 budget=budget,
                 jobs=n_jobs,
-                multilevel=request.multilevel.tri,
+                multilevel=request.multilevel,
                 carve_fill_levels=fill_levels,
             )
             verify_solution(mapped, solution, raise_on_violation=True)
@@ -596,10 +596,7 @@ def _execute_request(
                     f"is {base_hash[:12]}..."
                 )
         mapped, dirty = request.apply_delta(base_mapped)
-    use_ml = request.resolve_multilevel(mapped.n_cells)
-    # The request's config() is byte-compatible with the dicts the verbs
-    # built inline pre-redesign, so fingerprints and cache keys carry over.
-    config = request.config(use_ml)
+    config = request.config(resolve_multilevel(request.multilevel, mapped.n_cells))
     store = cache_store.resolve_cache() if policy is not CachePolicy.OFF else None
     # One fingerprint of the solved netlist serves the cache key, the
     # cache entry and the ledger record; the base hash is reused when the
@@ -631,7 +628,7 @@ def _execute_request(
                 request, store, base_mapped, base_hash, mapped, dirty, config
             )
         if solution is None:
-            solution, log = _solve(request, mapped, library, n_jobs, use_ml)
+            solution, log = _solve(request, mapped, library, n_jobs)
     elapsed = perf_counter() - start
     if warm_info is not None and warm_info.get("mode") == "warm":
         prev_elapsed = warm_info.get("ancestor_elapsed")

@@ -33,10 +33,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.partition.devices import library_by_name
-from repro.request import REQUEST_VERBS, VERB_PARAMS, PartitionRequest, build_request
+from repro.request import (
+    REQUEST_VERBS,
+    VERB_PARAMS,
+    PartitionRequest,
+    build_request,
+    threshold_label,
+)
 
 #: Manifest identifier expected in the ``schema`` field.
 MANIFEST_SCHEMA_NAME = "repro-batch-manifest/1"
@@ -74,11 +80,6 @@ class BatchJob:
     #: the worker solves on it instead of mapping again; ``None`` maps in
     #: the worker.
     mapped: Any = field(default=None, compare=False, repr=False)
-
-
-def threshold_label(threshold: Union[int, float]) -> str:
-    """The manifest/JSON spelling of a threshold (inverse of parsing)."""
-    return "inf" if threshold == float("inf") else str(int(threshold))
 
 
 _META_KEYS = ("verb", "circuit", "seed", "seeds", "priority")
@@ -229,5 +230,4 @@ __all__ = [
     "REPORT_SCHEMA_NAME",
     "expand_manifest",
     "load_manifest",
-    "threshold_label",
 ]

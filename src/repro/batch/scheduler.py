@@ -196,10 +196,10 @@ def order_jobs(jobs: List[BatchJob]) -> Tuple[List[BatchJob], List[BatchJob]]:
     return primaries, duplicates
 
 
-# Progress fan-out is serialized: several dispatch threads (the
-# service's dispatchers, ``--jobs`` collectors) may drive waves against
-# the same callback/registry concurrently, and a progress stream with
-# interleaved or torn lines is useless to a follower.
+# Progress fan-out is serialized.  Both callers (``repro batch run`` and
+# ``experiments.common.run_manifest``) drive their waves from one thread,
+# but ``run_batch`` is a library call: batches run from several threads
+# against one callback or registry must not interleave their events.
 _EMIT_LOCK = threading.Lock()
 
 

@@ -678,9 +678,8 @@ def _cmd_batch_run(args: argparse.Namespace) -> int:
     from repro.obs.events import LineWriter
 
     done = [0]
-    # One writer, one write() per line: progress callbacks fire from
-    # collector threads when --jobs > 1, and bare print() (two writes:
-    # text then newline) interleaves mid-line under that concurrency.
+    # One writer, one write() per line: bare print() issues two writes
+    # (text, then newline), which another writer on stderr can split.
     writer = LineWriter(sys.stderr)
 
     def progress(payload: dict) -> None:
@@ -1369,8 +1368,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # here, not at exit, so a closed pipe raises below
+    except BrokenPipeError:
+        # The reader left (``repro ... | head``); devnull keeps the exit flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,14 +13,14 @@
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.results import BipartitionReport
 from repro.hypergraph.build import build_hypergraph
 from repro.netlist.benchmarks import RECORDED_SEED
 from repro.netlist.netlist import Netlist
 from repro.partition.devices import DeviceLibrary, XC3000_LIBRARY
-from repro.partition.fm import FMConfig
+from repro.partition.fm import FMConfig, multi_start
 from repro.partition.fm_replication import (
     FUNCTIONAL,
     NONE,
@@ -29,18 +29,29 @@ from repro.partition.fm_replication import (
 )
 from repro.partition.kway import KWayConfig, KWaySolution, best_heterogeneous_partition
 from repro.partition.multilevel import MultilevelConfig, resolve_multilevel
-from repro.perf.parallel import seeded_runs
+from repro.replication.potential import T_INFINITY
+from repro.request import Algorithm, MultilevelMode, RequestError
 from repro.robust.budget import Budget
 from repro.robust.errors import ConfigError
 from repro.techmap.mapped import MappedNetlist, technology_map
 
-#: Algorithm name -> replication style of the inner engine, strongest
-#: first (the attempt cascade's degradation walks this order).
-ALGORITHM_STYLE = {
-    "fm+functional": FUNCTIONAL,
-    "fm+traditional": TRADITIONAL,
-    "fm": NONE,
+#: The replication style of each algorithm's engine.  :class:`Algorithm`
+#: declares the algorithms strongest first; that order is the attempt
+#: cascade's degradation ladder.
+ALGORITHM_STYLE: Dict[Algorithm, str] = {
+    Algorithm.FM_FUNCTIONAL: FUNCTIONAL,
+    Algorithm.FM_TRADITIONAL: TRADITIONAL,
+    Algorithm.FM: NONE,
 }
+
+
+def resolve_algorithm(name: Union[Algorithm, str]) -> Algorithm:
+    """The algorithm ``name`` spells; :class:`ConfigError` for a name
+    :meth:`Algorithm.coerce` rejects."""
+    try:
+        return Algorithm.coerce(name)
+    except RequestError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def map_circuit(circuit: Union[str, Netlist], scale: float = 1.0, seed: int = RECORDED_SEED) -> MappedNetlist:
@@ -55,7 +66,7 @@ def map_circuit(circuit: Union[str, Netlist], scale: float = 1.0, seed: int = RE
 
 def bipartition_experiment(
     mapped: MappedNetlist,
-    algorithm: str = "fm+functional",
+    algorithm: Union[Algorithm, str] = Algorithm.FM_FUNCTIONAL,
     runs: int = 20,
     threshold: Union[int, float] = 0,
     seed: int = 0,
@@ -64,7 +75,7 @@ def bipartition_experiment(
     max_growth: Optional[float] = None,
     budget: Optional[Budget] = None,
     jobs: int = 1,
-    multilevel: Optional[bool] = None,
+    multilevel: MultilevelMode = MultilevelMode.AUTO,
 ) -> BipartitionReport:
     """Experiment 1: N equal-size min-cut bipartitioning runs.
 
@@ -73,69 +84,49 @@ def bipartition_experiment(
     Terminal constraints are relaxed by building the hypergraph without
     terminal nodes, exactly as the paper's first experiment does.
 
-    The runs are one :func:`~repro.perf.parallel.seeded_runs` scan over
-    the seeds ``seed * 7919 + run``: ``jobs`` is its worker count
-    (``0`` = all cores), and every count gives the same report for a
-    given seed as long as no budget expires mid-sweep.  A ``budget`` is
-    threaded into every run (which then winds down cooperatively); at one
-    worker it is also checked between runs, and when it expires the
-    report covers the runs completed so far (always at least one) and
-    reads ``truncated``.
+    The runs are one :func:`~repro.partition.fm.multi_start` sweep at
+    ``seed``: ``jobs`` is its worker count (``0`` = all cores), and every
+    count gives the same report for a given seed as long as no budget
+    expires mid-sweep.  A ``budget`` is threaded into every run (which
+    then winds down cooperatively); at one worker it is also checked
+    between runs, and when it expires the report covers the runs
+    completed so far (always at least one) and reads ``truncated``.
 
-    ``multilevel`` is tri-state: ``True`` runs every inner solve as a
-    coarsen-solve-uncoarsen V-cycle (replication algorithms finish with a
-    replication pass at the finest level), ``False`` keeps the flat
-    engines, ``None`` (default) auto-enables the V-cycle on large
-    netlists (:data:`repro.partition.multilevel.MULTILEVEL_AUTO_MIN_CELLS`).
+    ``multilevel`` is the :class:`~repro.request.MultilevelMode`
+    (``True`` / ``False`` / ``None`` coerce to it), resolved against the
+    netlist: on, every run is a coarsen-solve-uncoarsen V-cycle
+    (replication algorithms finish with a replication pass at the finest
+    level); off, the flat engines run.
     """
-    if algorithm not in ALGORITHM_STYLE:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    algorithm = resolve_algorithm(algorithm)
     style = ALGORITHM_STYLE[algorithm]
+    replicate = style != NONE
     hg = build_hypergraph(mapped, include_terminals=False)
-    use_ml = resolve_multilevel(multilevel, hg.n_cells)
+    common: Dict[str, Any] = dict(seed=seed, balance_tolerance=balance_tolerance,
+                                  max_passes=max_passes, budget=budget)
     base: Union[MultilevelConfig, FMConfig, ReplicationConfig]
-    if use_ml:
+    if resolve_multilevel(MultilevelMode.coerce(multilevel), hg.n_cells):
         base = MultilevelConfig(
-            balance_tolerance=balance_tolerance,
-            max_passes=max_passes,
             threshold=threshold,
-            style=style if algorithm != "fm" else FUNCTIONAL,
-            replication_refine=algorithm != "fm",
+            style=style if replicate else FUNCTIONAL,
+            replication_refine=replicate,
             max_growth=max_growth,
-            budget=budget,
+            **common,
         )
-    elif algorithm == "fm":
-        base = FMConfig(
-            balance_tolerance=balance_tolerance,
-            max_passes=max_passes,
-            budget=budget,
-        )
-    else:
+    elif replicate:
         base = ReplicationConfig(
-            threshold=threshold,
-            style=style,
-            balance_tolerance=balance_tolerance,
-            max_passes=max_passes,
-            max_growth=max_growth,
-            budget=budget,
+            threshold=threshold, style=style, max_growth=max_growth, **common
         )
-    start = time.perf_counter()
-    results = seeded_runs(hg, base, [seed * 7919 + run for run in range(runs)], jobs)
-    if use_ml:
-        cuts = [r.final_cut for r in results]
-        replicated = [
-            r.replication.n_replicated if r.replication is not None else 0
-            for r in results
-        ]
     else:
-        cuts = [r.cut_size for r in results]
-        replicated = [getattr(r, "n_replicated", 0) for r in results]
+        base = FMConfig(**common)
+    start = time.perf_counter()
+    results, cuts = multi_start(hg, runs, base, jobs)
     return BipartitionReport(
         circuit=mapped.name,
-        algorithm=algorithm,
+        algorithm=algorithm.value,
         runs=len(cuts),
         cuts=cuts,
-        replicated_counts=replicated,
+        replicated_counts=[getattr(r, "n_replicated", 0) for r in results],
         elapsed_seconds=time.perf_counter() - start,
         n_cells=hg.n_cells,
         truncated=len(cuts) < runs,
@@ -149,31 +140,31 @@ def kway_solution(
     n_solutions: int = 2,
     seed: int = 0,
     seeds_per_carve: int = 3,
-    algorithm: str = "fm+functional",
+    algorithm: Union[Algorithm, str] = Algorithm.FM_FUNCTIONAL,
     devices_per_carve: int = 3,
     budget: Optional[Budget] = None,
     jobs: int = 1,
-    multilevel: Optional[bool] = None,
+    multilevel: MultilevelMode = MultilevelMode.AUTO,
     carve_fill_levels: Tuple[float, ...] = KWayConfig.carve_fill_levels,
 ) -> KWaySolution:
     """Experiment 2: one k-way heterogeneous partitioning data point.
 
-    ``threshold=float('inf')`` reproduces the no-replication baseline
-    (the "In [3]" columns of Tables IV-VII).  A ``budget`` makes the
-    flow return its best (possibly truncated) solution at expiry.
-    ``jobs`` is the worker count of each carve level's candidate scan
-    (``0`` = all cores; the solution is the same for every count).
-    ``algorithm`` takes the same names as :func:`bipartition_experiment`
-    (``"fm+functional"``, ``"fm+traditional"``, ``"fm"``).
+    ``threshold=T_INFINITY`` reproduces the no-replication baseline
+    (the "In [3]" columns of Tables IV-VII) whatever the algorithm.  A
+    ``budget`` makes the flow return its best (possibly truncated)
+    solution at expiry.  ``jobs`` is the worker count of each carve
+    level's candidate scan (``0`` = all cores; the solution is the same
+    for every count).  ``algorithm`` takes the same names as
+    :func:`bipartition_experiment`; ``multilevel`` is
+    :attr:`KWayConfig.multilevel`, resolved per carve level.
     ``carve_fill_levels`` is :attr:`KWayConfig.carve_fill_levels`; the
     attempt cascade extends it on its lower rungs.
     """
-    if algorithm not in ALGORITHM_STYLE:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    style = ALGORITHM_STYLE[resolve_algorithm(algorithm)]
     config = KWayConfig(
         library=library or XC3000_LIBRARY,
         threshold=threshold,
-        style=NONE if threshold == float("inf") else ALGORITHM_STYLE[algorithm],
+        style=NONE if threshold == T_INFINITY else style,
         seed=seed,
         seeds_per_carve=seeds_per_carve,
         devices_per_carve=devices_per_carve,

@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.obs.ledger import quality_from_bipartition, quality_from_kway_report
+from repro.request import threshold_json
 
 
 @dataclass
@@ -70,7 +71,7 @@ class KWayReport:
 
     def as_dict(self) -> Dict[str, object]:
         data = asdict(self)
-        data["threshold"] = "inf" if self.threshold == float("inf") else self.threshold
+        data["threshold"] = threshold_json(self.threshold)
         return data
 
 

@@ -42,9 +42,8 @@ from repro.experiments import figure3, table1, table2, table3, tables4to7
 from repro.experiments.common import TableResult, run_manifest
 from repro.netlist.benchmarks import RECORDED_SEED
 from repro.obs import ledger as obs_ledger
+from repro.replication.potential import T_INFINITY
 from repro.request import CachePolicy, parse_threshold
-
-INF = float("inf")
 
 #: Per-circuit scale for the k-way sweep (runtime-bounded).
 #: The pad-heavy c5315/c7552 and the big ISCAS'89 circuits run reduced;
@@ -110,7 +109,7 @@ def paper_drift_report(data: Dict[Tuple[str, float], KWayReport]) -> str:
     threshold setting (Table VI's qualitative claim).
     """
     circuits = sorted({c for c, _ in data})
-    finite_ts = sorted({t for _, t in data if t != INF})
+    finite_ts = sorted({t for _, t in data if t != T_INFINITY})
 
     def mean(values: List[float]) -> float:
         return sum(values) / len(values) if values else 0.0
@@ -120,8 +119,8 @@ def paper_drift_report(data: Dict[Tuple[str, float], KWayReport]) -> str:
             [getattr(data[(c, t)], metric) for c in circuits if (c, t) in data]
         )
 
-    clb_base = suite_mean("avg_clb_utilization", INF)
-    iob_base = suite_mean("avg_iob_utilization", INF)
+    clb_base = suite_mean("avg_clb_utilization", T_INFINITY)
+    iob_base = suite_mean("avg_iob_utilization", T_INFINITY)
     clb_best = max(
         (suite_mean("avg_clb_utilization", t) for t in finite_ts),
         default=clb_base,
@@ -133,10 +132,10 @@ def paper_drift_report(data: Dict[Tuple[str, float], KWayReport]) -> str:
     improved = [
         c
         for c in circuits
-        if (c, INF) in data
+        if (c, T_INFINITY) in data
         and any(
             (c, t) in data
-            and data[(c, t)].total_cost < data[(c, INF)].total_cost
+            and data[(c, t)].total_cost < data[(c, T_INFINITY)].total_cost
             for t in finite_ts
         )
     ]

@@ -22,16 +22,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.batch.manifest import MANIFEST_SCHEMA_NAME, threshold_label
+from repro.batch.manifest import MANIFEST_SCHEMA_NAME
 from repro.core.results import KWayReport
 from repro.experiments.common import TableResult, run_manifest
 from repro.netlist.benchmarks import BENCHMARK_NAMES
-from repro.request import MAPPING_SEED, VERB_PARAMS, threshold_json
+from repro.replication.potential import T_INFINITY
+from repro.request import MAPPING_SEED, VERB_PARAMS, threshold_json, threshold_label
 
-INF = float("inf")
 #: The paper's threshold settings: the baseline plus T = 0..3 (its Table IV
 #: note: "T = 0 includes multi-output cells with psi = 0").
-DEFAULT_THRESHOLDS: Tuple[float, ...] = (INF, 0, 1, 2, 3)
+DEFAULT_THRESHOLDS: Tuple[float, ...] = (T_INFINITY, 0, 1, 2, 3)
 
 #: The declared k-way request defaults the sweep's settings default to.
 _DEFAULTS = VERB_PARAMS["partition"]
@@ -138,7 +138,7 @@ def _infeasible_notes(data: Dict[Tuple[str, float], KWayReport]) -> List[str]:
 
 def table4(data: Dict[Tuple[str, float], KWayReport], scale: float) -> TableResult:
     """Table IV: % replicated cells per T and CPU seconds."""
-    thresholds = [t for t in DEFAULT_THRESHOLDS if t != INF]
+    thresholds = [t for t in DEFAULT_THRESHOLDS if t != T_INFINITY]
     headers = ["Circuit"] + [f"T={threshold_label(t)} %" for t in thresholds] + [
         "CPU s (T=1)",
         "CPU s (no repl)",
@@ -153,7 +153,7 @@ def table4(data: Dict[Tuple[str, float], KWayReport], scale: float) -> TableResu
             sums[i] += pct
             row.append(pct)
         row.append(round(data[(name, 1)].elapsed_seconds, 2))
-        row.append(round(data[(name, INF)].elapsed_seconds, 2))
+        row.append(round(data[(name, T_INFINITY)].elapsed_seconds, 2))
         rows.append(row)
     rows.append(["Avg"] + [s / len(names) for s in sums] + ["", ""])
     return TableResult(
@@ -176,7 +176,7 @@ def table5(data: Dict[Tuple[str, float], KWayReport], scale: float) -> TableResu
     t_sums = [0.0] * len(thresholds)
     names = _circuit_names(data)
     for name in names:
-        base = 100.0 * data[(name, INF)].avg_clb_utilization
+        base = 100.0 * data[(name, T_INFINITY)].avg_clb_utilization
         base_sum += base
         row: List[object] = [name, base]
         for i, t in enumerate(thresholds):
@@ -207,7 +207,7 @@ def table6(data: Dict[Tuple[str, float], KWayReport], scale: float) -> TableResu
     names = _circuit_names(data)
     red_sums = [0.0] * len(thresholds)
     for name in names:
-        base = data[(name, INF)].total_cost
+        base = data[(name, T_INFINITY)].total_cost
         row: List[object] = [name, base]
         for i, t in enumerate(thresholds):
             cost = data[(name, t)].total_cost
@@ -238,7 +238,7 @@ def table7(data: Dict[Tuple[str, float], KWayReport], scale: float) -> TableResu
     base_sum = 0.0
     t_sums = [0.0] * len(thresholds)
     for name in names:
-        base = 100.0 * data[(name, INF)].avg_iob_utilization
+        base = 100.0 * data[(name, T_INFINITY)].avg_iob_utilization
         base_sum += base
         row: List[object] = [name, base]
         for i, t in enumerate(thresholds):
@@ -273,7 +273,7 @@ def device_distribution_table(
     """
     rows: List[List[object]] = []
     for name in _circuit_names(data):
-        base = data[(name, INF)]
+        base = data[(name, T_INFINITY)]
         repl = data[(name, 1.0)]
         rows.append(
             [

@@ -24,8 +24,10 @@ the pre-optimization engines exactly, which is what lets the CSR-based
 engines reproduce their results bit for bit.
 
 A ``CompactHypergraph`` is immutable by convention and safe to share:
-the k-way carver builds one per carve level and hands the same instance
-to every candidate FM run at that level.
+plain-FM and V-cycle multi-start runs build one per hypergraph and hand
+the same instance to every run.  The k-way carver's candidates share
+``ReplicationTables`` per carve level; a multilevel carve scan also
+builds one ``CompactHypergraph`` per level for its V-cycle.
 """
 
 from __future__ import annotations

@@ -118,9 +118,8 @@ class LineWriter:
     """A thread-safe whole-line sink for progress/event streams.
 
     ``print(text, file=fh)`` issues *two* writes (the text, then the
-    newline), so concurrent writers -- batch progress callbacks with
-    ``--jobs > 1``, service dispatch tasks, the cluster scheduler's
-    threads -- can interleave mid-line and tear the stream.  This writer
+    newline), so concurrent writers can interleave mid-line and tear
+    the stream.  This writer
     joins line + terminator into one string and hands it to the
     underlying file in a single ``write`` call under a lock, then
     flushes, so every line lands whole and in emission order.

@@ -703,24 +703,33 @@ def _run_pass(state: _FMState) -> int:
     return best_gain
 
 
+def multi_start(
+    hg: Hypergraph,
+    runs: int,
+    base_config: Union[FMConfig, ReplicationConfig, MultilevelConfig],
+    jobs: int = 1,
+) -> Tuple[List[Union[FMResult, ReplicationResult, MultilevelResult]], List[int]]:
+    """``runs`` seeded runs and their cuts, in run order.
+
+    Run ``i`` is seeded ``base_config.seed * 7919 + i``; the engine
+    follows the config type (:func:`repro.perf.parallel.seeded_runs`),
+    and a V-cycle run counts with its final cut.  ``jobs`` is the worker
+    count (``0`` = all cores) and never changes a result; a budget that
+    expires mid-sweep ends it after fewer runs (at least one).
+    """
+    seeds = [base_config.seed * 7919 + run for run in range(runs)]
+    results = seeded_runs(hg, base_config, seeds, jobs)
+    return results, [getattr(r, "final_cut", r.cut_size) for r in results]
+
+
 def best_of_runs(
     hg: Hypergraph,
     runs: int,
     base_config: Optional[Union[FMConfig, ReplicationConfig, MultilevelConfig]] = None,
     jobs: int = 1,
 ) -> Tuple[Union[FMResult, ReplicationResult, MultilevelResult], List[int]]:
-    """Run ``runs`` seeded runs; return (best result, all cut sizes).
-
-    The engine follows the config type (plain FM by default; see
-    :func:`repro.perf.parallel.seeded_runs`), and a V-cycle run counts
-    with its final cut.  Derived configs share the base config's
-    ``fixed`` mapping and ``budget`` object (both are read-only to the
-    runs); only the seed differs.  ``jobs`` is the worker count
-    (``0`` = all cores); the winner is the first run with the smallest
-    cut, whatever the count.
-    """
-    base_config = base_config or FMConfig()
-    seeds = [base_config.seed * 7919 + run for run in range(runs)]
-    results = seeded_runs(hg, base_config, seeds, jobs)
-    cuts = [getattr(result, "final_cut", result.cut_size) for result in results]
+    """:func:`multi_start` (plain FM by default); returns (best result,
+    all cut sizes).  The winner is the first run with the smallest cut,
+    whatever the worker count."""
+    results, cuts = multi_start(hg, runs, base_config or FMConfig(), jobs)
     return results[cuts.index(min(cuts))], cuts

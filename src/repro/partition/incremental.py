@@ -60,8 +60,7 @@ from repro.techmap.mapped import MappedNetlist
 DEFAULT_MAX_DIRTY_FRACTION = 0.30
 
 #: Warm cost tolerance band: the repaired solution may cost at most
-#: ``(1 + tolerance)`` times the previous solution's eq.1 cost (with the
-#: eq.2 interconnect tie-breaker checked against the same band).
+#: ``(1 + tolerance)`` times the previous solution's eq.1 cost.
 DEFAULT_COST_TOLERANCE = 0.25
 
 
@@ -71,8 +70,6 @@ class IncrementalConfig:
 
     seed: int = 0
     max_passes: int = 16
-    max_dirty_fraction: float = DEFAULT_MAX_DIRTY_FRACTION
-    cost_tolerance: float = DEFAULT_COST_TOLERANCE
     budget: Optional[Budget] = None
 
 
@@ -185,11 +182,11 @@ def incremental_partition(
         "dirty_cells": len(dirty.cells),
         "dirty_fraction": round(dirty.fraction, 6),
     }
-    if dirty.fraction > config.max_dirty_fraction:
+    if dirty.fraction > DEFAULT_MAX_DIRTY_FRACTION:
         return _decline(
             info,
             f"dirty fraction {dirty.fraction:.3f} exceeds "
-            f"{config.max_dirty_fraction:.3f}",
+            f"{DEFAULT_MAX_DIRTY_FRACTION:.3f}",
         )
     if previous.truncated or not previous.blocks:
         return _decline(info, "previous solution truncated or empty")
@@ -332,7 +329,7 @@ def incremental_partition(
                 )
                 break
         return _decline(info, f"repair left the solution infeasible: {detail}")
-    band = 1.0 + config.cost_tolerance
+    band = 1.0 + DEFAULT_COST_TOLERANCE
     if solution.cost.total_cost > previous.cost.total_cost * band:
         return _decline(
             info,

@@ -34,7 +34,6 @@ from repro.partition.devices import Device, DeviceLibrary, XC3000_LIBRARY
 from repro.hypergraph.compact import CompactHypergraph
 from repro.partition.fm_replication import (
     FUNCTIONAL,
-    NONE,
     ReplicationConfig,
     ReplicationEngine,
     ReplicationTables,
@@ -45,13 +44,14 @@ from repro.partition.multilevel import (
     resolve_multilevel,
 )
 from repro.perf.parallel import WorkerPool
+from repro.request import MultilevelMode
 from repro.robust import faults
 from repro.robust.budget import Budget
 from repro.robust.errors import ConfigError, InfeasibleError
 from repro.techmap.mapped import MappedNetlist
 
-#: Threshold value disabling replication entirely (the "[3]" baseline).
-T_OFF = float("inf")
+#: FM passes of each carve candidate (and of each V-cycle level seeding one).
+_CARVE_MAX_PASSES = 12
 
 
 @dataclass(slots=True)
@@ -105,12 +105,11 @@ class KWayConfig:
     """Knobs for the multi-way flow."""
 
     library: DeviceLibrary = field(default_factory=lambda: XC3000_LIBRARY)
-    threshold: Union[int, float] = 1  # paper's T; T_OFF reproduces [3]
+    threshold: Union[int, float] = 1  # paper's T; T_INFINITY reproduces [3]
     style: str = FUNCTIONAL
     seed: int = 0
     seeds_per_carve: int = 3
     devices_per_carve: int = 3
-    max_passes: int = 12
     max_blocks: int = 200
     #: Fill-level ladder for carves: each carve first tries to pack the
     #: candidate device to the highest band (fewest, cheapest devices); if no
@@ -138,21 +137,19 @@ class KWayConfig:
     jobs: int = 1
     #: Multilevel initial solutions for carve candidates: a V-cycle
     #: (:mod:`repro.partition.multilevel`) seeds each candidate's
-    #: replication engine instead of a random start.  Tri-state: ``True``
-    #: forces it on, ``False`` off, ``None`` (default) turns it on per
+    #: replication engine instead of a random start.  ``ON`` forces it,
+    #: ``OFF`` keeps random starts, ``AUTO`` (default) turns it on per
     #: carve level once the working set reaches
-    #: :data:`~repro.partition.multilevel.MULTILEVEL_AUTO_MIN_CELLS`.
+    #: :data:`~repro.partition.multilevel.MULTILEVEL_AUTO_MIN_CELLS`
+    #: (``True`` / ``False`` / ``None`` coerce to these).
     #: The coarsening hierarchy is built once per carve scan and shared
     #: across every candidate (like ``ReplicationTables``).
-    multilevel: Optional[bool] = None
+    multilevel: MultilevelMode = MultilevelMode.AUTO
 
     def __post_init__(self) -> None:
         if self.engine not in ("fast", "reference"):
             raise ConfigError(f"unknown k-way engine {self.engine!r}")
-
-    @property
-    def replication_enabled(self) -> bool:
-        return self.style != NONE and self.threshold != T_OFF
+        self.multilevel = MultilevelMode.coerce(self.multilevel)
 
 
 @dataclass
@@ -540,7 +537,7 @@ def _scan_carve_candidates(
     proto = dict(
         threshold=config.threshold,
         style=config.style,
-        max_passes=config.max_passes,
+        max_passes=_CARVE_MAX_PASSES,
         fixed=dict(fixed),
     )
     shared = (

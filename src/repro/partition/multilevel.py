@@ -43,6 +43,7 @@ from repro.partition.fm_replication import (
     ReplicationEngine,
     ReplicationResult,
 )
+from repro.request import MultilevelMode
 from repro.robust.budget import Budget
 from repro.robust.errors import ConfigError
 
@@ -50,19 +51,21 @@ from repro.robust.errors import ConfigError
 #: almost no locality signal and dominate the runtime otherwise).
 _MAX_SCORING_DEGREE = 24
 
-#: Auto-on threshold: netlists with at least this many cells default to
-#: the multilevel engine when the caller leaves the tri-state flag unset.
+#: Auto-on threshold: netlists with at least this many cells run the
+#: multilevel engine in :attr:`MultilevelMode.AUTO` mode.
 #: Chosen well above the paper suite (largest circuit ~15k gates at full
 #: scale maps to fewer cells), so existing goldens, cache keys and ledger
 #: fingerprints are unaffected unless multilevel is requested explicitly.
 MULTILEVEL_AUTO_MIN_CELLS = 20_000
 
 
-def resolve_multilevel(flag: Optional[bool], n_cells: int) -> bool:
-    """Resolve the tri-state ``multilevel`` knob against the netlist size."""
-    if flag is not None:
-        return flag
-    return n_cells >= MULTILEVEL_AUTO_MIN_CELLS
+def resolve_multilevel(mode: MultilevelMode, n_cells: int) -> bool:
+    """Whether the V-cycle runs on a netlist of ``n_cells`` cells: ``ON``
+    and ``OFF`` say so, ``AUTO`` turns it on from
+    :data:`MULTILEVEL_AUTO_MIN_CELLS` cells."""
+    if mode is MultilevelMode.AUTO:
+        return n_cells >= MULTILEVEL_AUTO_MIN_CELLS
+    return mode is MultilevelMode.ON
 
 
 @dataclass
@@ -77,7 +80,6 @@ class MultilevelConfig:
     max_passes: int = 12
     replication_refine: bool = False
     threshold: Union[int, float] = 0
-    max_scoring_degree: int = _MAX_SCORING_DEGREE
     style: str = FUNCTIONAL
     fixed: Dict[int, int] = field(default_factory=dict)
     max_growth: Optional[float] = None
@@ -106,11 +108,16 @@ class MultilevelResult:
             return self.replication.cut_size
         return self.cut_size
 
+    @property
+    def n_replicated(self) -> int:
+        if self.replication is not None:
+            return self.replication.n_replicated
+        return 0
+
 
 def coarsen_compact(
     cp: CompactHypergraph,
     rng: random.Random,
-    max_scoring_degree: int = _MAX_SCORING_DEGREE,
     protected: Sequence[int] = (),
 ) -> Tuple[CompactHypergraph, List[int], int]:
     """One coarsening level on CSR arrays.
@@ -152,7 +159,7 @@ def coarsen_compact(
         for i in range(nns[u], nns[u + 1]):
             e = nn[i]
             deg = ens[e + 1] - ens[e]
-            if deg < 2 or deg > max_scoring_degree:
+            if deg < 2 or deg > _MAX_SCORING_DEGREE:
                 continue
             w = 1.0 / (deg - 1)
             for j in range(ens[e], ens[e + 1]):
@@ -296,10 +303,7 @@ class MultilevelHierarchy:
         n_cells = self.cell_counts[0]
         while len(self.levels) < config.max_levels and n_cells > config.min_nodes:
             coarse, cid, n_pairs = coarsen_compact(
-                current,
-                rng,
-                max_scoring_degree=config.max_scoring_degree,
-                protected=set(self.fixed_maps[-1]),
+                current, rng, protected=set(self.fixed_maps[-1])
             )
             coarse_cells = n_cells - n_pairs
             if coarse_cells >= n_cells * config.coarsening_stall_ratio:

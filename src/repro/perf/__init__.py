@@ -2,8 +2,8 @@
 
 :mod:`repro.perf.parallel`
     :class:`~repro.perf.parallel.WorkerPool`, the one helper the scans
-    run through -- the multi-start drivers (``seeded_runs`` behind
-    ``best_of_runs`` and ``bipartition_experiment``), the k-way carve
+    run through -- the multi-start sweep (``seeded_runs`` behind
+    :func:`~repro.partition.fm.multi_start`), the k-way carve
     candidate scan, batch and service jobs.  It runs tasks in-process at
     one worker and over a process pool otherwise; scans reduce results
     in plan order, so every job count returns the same winner for a

@@ -25,7 +25,9 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.replication.adjacency import norm, vand, vnot
 
-#: Threshold value meaning "replication disabled" (eq. 6's T = infinity).
+#: Threshold value meaning "replication disabled" (eq. 6's T = infinity):
+#: the no-replication baseline, the "[3]" columns of Tables IV-VII.  Its
+#: JSON and display spellings are :mod:`repro.request`'s.
 T_INFINITY = float("inf")
 
 

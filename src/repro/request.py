@@ -44,13 +44,13 @@ untraced one cached.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from enum import Enum
 from operator import attrgetter
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.netlist.benchmarks import RECORDED_SEED
+from repro.replication.potential import T_INFINITY
 
 #: Version stamped into every request document as ``v``.
 REQUEST_SCHEMA_VERSION = 1
@@ -131,13 +131,15 @@ class CachePolicy(str, Enum):
 
 
 class MultilevelMode(str, Enum):
-    """The tri-state V-cycle knob, as an explicit enum.
+    """The V-cycle mode, from the request down to the carve scan.
 
     ``ON`` forces the coarsen-solve-uncoarsen engine, ``OFF`` keeps the
     flat engines, ``AUTO`` (default) enables it once the netlist reaches
-    :data:`repro.partition.multilevel.MULTILEVEL_AUTO_MIN_CELLS` cells.
+    :data:`repro.partition.multilevel.MULTILEVEL_AUTO_MIN_CELLS` cells
+    (:func:`repro.partition.multilevel.resolve_multilevel`).
     ``True`` / ``False`` / ``None`` coerce to ``ON`` / ``OFF`` / ``AUTO``:
-    that is the JSON and batch-manifest spelling of the knob.
+    that is the JSON and batch-manifest spelling of the mode, and the
+    library flows coerce it where it enters.
     """
 
     ON = "on"
@@ -165,15 +167,6 @@ class MultilevelMode(str, Enum):
             f"expected one of {[m.value for m in cls]} or True/False/None"
         )
 
-    @property
-    def tri(self) -> Optional[bool]:
-        """The legacy tri-state bool the solver flows still consume."""
-        if self is MultilevelMode.ON:
-            return True
-        if self is MultilevelMode.OFF:
-            return False
-        return None
-
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -190,12 +183,12 @@ def _require(cond: bool, message: str) -> None:
 
 def parse_threshold(value: Any) -> Union[int, float]:
     """A replication threshold: a number, or ``"inf"``/``"infinity"``
-    for the no-replication baseline (strict JSON has no infinity
-    literal).  The numeric type is preserved -- an ``int`` threshold
-    stays an ``int`` so config fingerprints never move."""
+    for the no-replication baseline :data:`T_INFINITY` (strict JSON has
+    no infinity literal).  The numeric type is preserved -- an ``int``
+    threshold stays an ``int`` so config fingerprints never move."""
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity"):
-            return float("inf")
+            return T_INFINITY
         raise RequestError(f"threshold {value!r} is not a number or 'inf'")
     if not _is_number(value):
         raise RequestError(f"threshold {value!r} is not a number or 'inf'")
@@ -204,9 +197,16 @@ def parse_threshold(value: Any) -> Union[int, float]:
 
 def threshold_json(threshold: Union[int, float]) -> Union[int, float, str]:
     """The JSON spelling of a threshold (inverse of :func:`parse_threshold`)."""
-    if isinstance(threshold, float) and math.isinf(threshold):
+    return "inf" if threshold == T_INFINITY else threshold
+
+
+def threshold_label(threshold: Union[int, float]) -> str:
+    """A threshold as job ids and table notes print it: ``inf``, an
+    integral T without a fraction (``1`` and ``1.0`` -> ``1``), any
+    other T exactly (``0.5``)."""
+    if threshold == T_INFINITY:
         return "inf"
-    return threshold
+    return str(int(threshold)) if float(threshold).is_integer() else str(threshold)
 
 
 def _parse_number(text: str) -> Union[int, float]:
@@ -549,12 +549,6 @@ class PartitionRequest:
             config["multilevel"] = True
         return config
 
-    def resolve_multilevel(self, n_cells: int) -> bool:
-        """Whether the V-cycle is active for a netlist of ``n_cells``."""
-        from repro.partition.multilevel import resolve_multilevel
-
-        return resolve_multilevel(self.multilevel.tri, n_cells)
-
     def apply_delta(self, mapped: Any) -> tuple:
         """``(post-delta netlist, dirty region)`` for this request.
 
@@ -583,9 +577,10 @@ class PartitionRequest:
         """
         from repro.cache.store import cache_key as store_key
         from repro.obs import ledger
+        from repro.partition.multilevel import resolve_multilevel
 
         mapped, _ = self.apply_delta(mapped)
-        active = self.resolve_multilevel(mapped.n_cells)
+        active = resolve_multilevel(self.multilevel, mapped.n_cells)
         key = store_key(ledger.netlist_fingerprint(mapped), self.config(active),
                         self.seed)
         return mapped, key
@@ -739,4 +734,5 @@ __all__ = [
     "mapping_seed",
     "parse_threshold",
     "threshold_json",
+    "threshold_label",
 ]

@@ -40,19 +40,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.flow import ALGORITHM_STYLE
+from repro.core.flow import resolve_algorithm
 from repro.obs.metrics import get_registry
+from repro.request import Algorithm
 from repro.robust.budget import Budget, ambient_budget
 from repro.robust.errors import (
     BudgetExceededError,
-    ConfigError,
     FATAL,
     VerificationError,
 )
-
-#: Degradation cascade, strongest engine first (paper's contribution
-#: down to the plain [15] baseline).
-ENGINE_LADDER: Tuple[str, ...] = tuple(ALGORITHM_STYLE)
 
 #: ``max_retries`` of a request that sets another resilience field but
 #: not this one.
@@ -69,14 +65,13 @@ Attempt = Callable[[str, int, int, Optional[Budget]], Tuple[Any, Tuple[Any, ...]
 
 
 def engine_cascade(engine: str, fallback: bool = True) -> List[str]:
-    """The engines tried for a request starting at ``engine``."""
-    if engine not in ENGINE_LADDER:
-        raise ConfigError(
-            f"unknown engine {engine!r}; expected one of {ENGINE_LADDER}"
-        )
-    if not fallback:
-        return [engine]
-    return list(ENGINE_LADDER[ENGINE_LADDER.index(engine):])
+    """The engines tried for a request starting at ``engine``: with
+    ``fallback``, every :class:`~repro.request.Algorithm` from it on in
+    declaration order, else ``engine`` alone (``ConfigError`` if unknown)."""
+    start = resolve_algorithm(engine)
+    ladder = list(Algorithm)
+    cascade = ladder[ladder.index(start):] if fallback else [start]
+    return [algorithm.value for algorithm in cascade]
 
 
 def relaxed_carve(

@@ -9,7 +9,6 @@ from repro.batch.manifest import (
     ManifestError,
     expand_manifest,
     load_manifest,
-    threshold_label,
 )
 from repro.batch.scheduler import (
     check_reports,
@@ -18,7 +17,7 @@ from repro.batch.scheduler import (
     run_batch,
 )
 from repro.experiments import tables4to7
-from repro.request import VERB_PARAMS
+from repro.request import VERB_PARAMS, threshold_label
 from repro.robust.budget import Budget
 from repro.robust.errors import ConfigError
 
@@ -101,6 +100,14 @@ def test_mixed_verb_defaults_are_filtered_per_verb():
         )
 
 
+def test_a_fractional_threshold_names_its_own_job():
+    jobs = expand_manifest(tables4to7.sweep_manifest([CIRCUIT], thresholds=(0, 0.5)))
+    assert [job.job_id for job in jobs] == [
+        "partition:s5378:T=0:s1994",
+        "partition:s5378:T=0.5:s1994",
+    ]
+
+
 def test_threshold_parsing_and_labels():
     jobs = expand_manifest(
         _manifest([{"circuit": CIRCUIT, "threshold": t} for t in ("inf", 2)])
@@ -108,6 +115,8 @@ def test_threshold_parsing_and_labels():
     assert [job.request.threshold for job in jobs] == [float("inf"), 2]
     assert threshold_label(float("inf")) == "inf"
     assert threshold_label(2.0) == "2"
+    assert threshold_label(1) == "1"
+    assert threshold_label(0.5) == "0.5"
     for bad in ("two", True, [1]):
         with pytest.raises(ManifestError, match="threshold"):
             expand_manifest(_manifest([{"circuit": CIRCUIT, "threshold": bad}]))

@@ -226,8 +226,7 @@ def test_partition_cache_key_is_the_request_key(capsys, tmp_path):
 
 
 def test_partition_deadline_survives_the_cache(capsys, tmp_path):
-    from repro.request import build_request
-    from repro.robust.runner import ENGINE_LADDER
+    from repro.request import Algorithm, build_request
 
     data = _json_run(
         capsys,
@@ -235,7 +234,7 @@ def test_partition_deadline_survives_the_cache(capsys, tmp_path):
          "--deadline", "60", "--cache", "use",
          "--cache-dir", str(tmp_path / "c")],
     )
-    assert data["engine"] in ENGINE_LADDER
+    assert data["engine"] in [algorithm.value for algorithm in Algorithm]
     assert data["run_log"] and data["run_log_summary"]["attempts"] >= 1
     request = build_request(
         "partition", "s5378", scale=0.1, seed=1994, n_solutions=1, deadline=60
@@ -425,3 +424,36 @@ def test_seed_zero_delta_applies_to_the_seed_zero_partition(capsys, tmp_path):
     assert cold["cache_info"]["status"] == "miss"
     assert warm["cache_info"]["warm"]["mode"] == "warm"
     assert warm["cache_info"]["warm"]["ancestor_key"] == cold["cache_info"]["key"]
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["stats", "c6288", "--scale", "0.05"], ""),
+    (["stats", "c6288", "--scale", "0.05"], "1"),
+    # Unbuffered, argparse itself drops a help text it cannot write.
+    (["stats", "--help"], ""),
+], ids=["buffered", "unbuffered", "help"])
+def test_a_closed_stdout_pipe_exits_without_a_traceback(argv, unbuffered):
+    """``repro ... | head -1``: a reader that leaves before the command
+    writes gets a quiet non-zero exit, never a ``BrokenPipeError``."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode != 0
+    assert b"BrokenPipeError" not in proc.stderr, proc.stderr.decode()

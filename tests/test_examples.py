@@ -3,6 +3,7 @@
 import os
 import py_compile
 import runpy
+import subprocess
 import sys
 
 import pytest
@@ -25,6 +26,27 @@ def test_at_least_five_examples():
 @pytest.mark.parametrize("path", _example_paths(), ids=os.path.basename)
 def test_examples_compile(path):
     py_compile.compile(path, doraise=True)
+
+
+def test_benchmarks_and_examples_resolve_their_imports():
+    """The benches and examples import program names no other test
+    reaches: collect every bench, and import every example without
+    running its ``__main__`` block, so a removed name fails here."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "benchmarks", "--collect-only", "-q",
+         "-p", "no:cacheprovider"],
+        cwd=os.path.dirname(src),
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for path in _example_paths():
+        runpy.run_path(path, run_name="example")
 
 
 def test_quickstart_runs(capsys, monkeypatch):

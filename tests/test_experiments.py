@@ -138,7 +138,7 @@ class TestTables4to7:
             assert untimed(data[("s5378", t)]) == direct
 
     def test_baseline_no_replication(self, data):
-        assert data[("s5378", tables4to7.INF)].replicated_fraction == 0.0
+        assert data[("s5378", INF)].replicated_fraction == 0.0
 
     def test_table4(self, data):
         result = tables4to7.table4(data, 0.25)
@@ -280,6 +280,14 @@ class TestInfeasibleRows:
         notes = [n for n in result.notes if n.startswith("infeasible")]
         assert len(notes) == 1
         assert notes[0].endswith(": x T=2, y T=inf")
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_a_fractional_threshold_is_named_exactly(self, build):
+        data = self.data()
+        data[("x", 0.5)] = synthetic_report("x", 0.5, feasible=False)
+        notes = [n for n in build(data, 1.0).notes if n.startswith("infeasible")]
+        assert len(notes) == 1
+        assert notes[0].endswith(": x T=0.5")
 
     @pytest.mark.parametrize("build", BUILDERS)
     def test_feasible_tables_carry_no_such_note(self, build):

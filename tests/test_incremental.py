@@ -362,6 +362,31 @@ class TestApiFrontDoor:
             replay.to_dict()["solution"], sort_keys=True
         ) == json.dumps(warm.to_dict()["solution"], sort_keys=True)
 
+    def test_a_bipartition_field_never_reaches_the_repair(self, tmp_path):
+        """``max_passes`` is a bipartition field, so it is not in a
+        partition request's key: setting it must not change what the
+        key stores."""
+        mapped = api.map("s5378", scale=0.5, seed=0).solution
+        delta = seeded_delta(mapped, fraction=0.02, seed=3)
+        fields = dict(scale=0.5, threshold=1, n_solutions=1,
+                      seeds_per_carve=1, devices_per_carve=1)
+        stored = []
+        for extra in ({}, {"max_passes": 0}):
+            store = SolutionCache(str(tmp_path / f"c{len(stored)}"))
+            with use_cache(store):
+                api.run_request(build_request("partition", "s5378", **fields),
+                                circuit=mapped, cache="use")
+                eco = api.run_request(
+                    build_request("partition", "s5378", delta=delta.to_dict(),
+                                  **fields, **extra),
+                    circuit=mapped, cache="use",
+                )
+            assert eco.cache_info["warm"]["mode"] == "warm"
+            key = eco.cache_info["key"]
+            stored.append((key, json.dumps(store.get(key)["solution"],
+                                           sort_keys=True)))
+        assert stored[0] == stored[1]
+
     def test_delta_request_with_a_deadline_still_warm_starts(
         self, eco_mapped, store, base_request
     ):

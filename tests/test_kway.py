@@ -5,10 +5,10 @@ import pytest
 from repro.partition.devices import Device, DeviceLibrary
 from repro.partition.kway import (
     KWayConfig,
-    T_OFF,
     best_heterogeneous_partition,
     partition_heterogeneous,
 )
+from repro.replication.potential import T_INFINITY
 
 #: A small library scaled to the test circuits so k > 1.
 TINY_LIBRARY = DeviceLibrary(
@@ -41,7 +41,7 @@ def solution(mapped):
 def baseline(mapped):
     return partition_heterogeneous(
         mapped,
-        KWayConfig(library=TINY_LIBRARY, threshold=T_OFF, style="none", seed=3, seeds_per_carve=2),
+        KWayConfig(library=TINY_LIBRARY, threshold=T_INFINITY, style="none", seed=3, seeds_per_carve=2),
     )
 
 
@@ -159,7 +159,7 @@ class TestEdgeCases:
         try:
             sol = partition_heterogeneous(
                 mapped,
-                KWayConfig(library=micro, threshold=T_OFF, style="none",
+                KWayConfig(library=micro, threshold=T_INFINITY, style="none",
                            seeds_per_carve=1, devices_per_carve=1, max_blocks=400),
             )
             assert not sol.feasible or sol.k > 10

@@ -18,6 +18,7 @@ from repro.partition.multilevel import (
     vcycle_bipartition,
 )
 from repro.partition.verify import verify_solution
+from repro.request import MultilevelMode
 from repro.techmap.mapped import technology_map
 from repro.netlist.benchmarks import benchmark_circuit
 from repro.hypergraph.build import build_hypergraph
@@ -201,12 +202,12 @@ class TestVCycle:
 
 class TestResolve:
     def test_explicit_wins(self):
-        assert resolve_multilevel(True, 1) is True
-        assert resolve_multilevel(False, 10**9) is False
+        assert resolve_multilevel(MultilevelMode.ON, 1) is True
+        assert resolve_multilevel(MultilevelMode.OFF, 10**9) is False
 
     def test_auto_threshold(self):
-        assert resolve_multilevel(None, MULTILEVEL_AUTO_MIN_CELLS) is True
-        assert resolve_multilevel(None, MULTILEVEL_AUTO_MIN_CELLS - 1) is False
+        assert resolve_multilevel(MultilevelMode.AUTO, MULTILEVEL_AUTO_MIN_CELLS) is True
+        assert resolve_multilevel(MultilevelMode.AUTO, MULTILEVEL_AUTO_MIN_CELLS - 1) is False
 
 
 class TestKWayIntegration:
@@ -268,5 +269,5 @@ def test_auto_enables_on_large_rent_netlist():
     netlist = random_logic("rent_auto", 2400, 48, 48, seed=9)
     mapped = technology_map(netlist)
     hg = build_hypergraph(mapped, include_terminals=False)
-    assert resolve_multilevel(None, hg.n_cells) is False  # below threshold
-    assert resolve_multilevel(True, hg.n_cells) is True
+    assert resolve_multilevel(MultilevelMode.AUTO, hg.n_cells) is False  # below threshold
+    assert resolve_multilevel(MultilevelMode.ON, hg.n_cells) is True

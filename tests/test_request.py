@@ -10,6 +10,7 @@ from repro.batch.manifest import ManifestError, expand_manifest
 from repro.cache.store import SolutionCache, cache_key, use_cache
 from repro.obs.ledger import config_fingerprint, netlist_fingerprint, run_key
 from repro.partition.devices import XC3000_LIBRARY, DeviceLibrary
+from repro.partition.multilevel import resolve_multilevel
 from repro.request import (
     REQUEST_SCHEMA_NAME,
     VERB_PARAMS,
@@ -186,7 +187,7 @@ def test_int_scale_keys_like_the_command_line():
 def test_cache_key_matches_ledger_run_key():
     request = quick_partition_request()
     mapped = api.map(CIRCUIT, scale=SCALE, seed=request.mapping_seed).solution
-    use_ml = request.resolve_multilevel(mapped.n_cells)
+    use_ml = resolve_multilevel(request.multilevel, mapped.n_cells)
     expected = run_key(
         netlist_fingerprint(mapped),
         config_fingerprint(request.config(use_ml)),
@@ -229,11 +230,9 @@ def test_multilevel_bool_wire_spelling_coerces_silently():
     # true/false/null is the documented JSON and manifest spelling.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mode = MultilevelMode.coerce(True)
-        assert mode is MultilevelMode.ON and mode.tri is True
+        assert MultilevelMode.coerce(True) is MultilevelMode.ON
         assert MultilevelMode.coerce(False) is MultilevelMode.OFF
         assert MultilevelMode.coerce(None) is MultilevelMode.AUTO
-        assert MultilevelMode.coerce("off").tri is False
         doc = quick_partition_request().to_dict()
         doc["multilevel"] = True
         assert PartitionRequest.from_dict(doc).multilevel is MultilevelMode.ON

@@ -21,7 +21,7 @@ from repro.netlist.benchmarks import benchmark_circuit
 from repro.partition.devices import Device, DeviceLibrary
 from repro.partition.fm_replication import FUNCTIONAL, TRADITIONAL
 from repro.partition.kway import KWayConfig, KWaySolution, partition_heterogeneous
-from repro.request import RequestError, build_request
+from repro.request import Algorithm, RequestError, build_request
 from repro.robust import faults
 from repro.robust.budget import Budget
 from repro.robust.errors import (
@@ -30,7 +30,7 @@ from repro.robust.errors import (
     VerificationError,
 )
 from repro.robust.faults import Fault, FaultError
-from repro.robust.runner import ENGINE_LADDER, engine_cascade
+from repro.robust.runner import engine_cascade
 from repro.techmap.mapped import technology_map
 
 TINY_LIBRARY = DeviceLibrary(
@@ -49,7 +49,6 @@ FAST = dict(
     seed=3,
     seeds_per_carve=2,
     devices_per_carve=2,
-    max_passes=8,
 )
 
 #: The same knobs as request fields (one solution per attempt).
@@ -86,7 +85,7 @@ def all_cells_placed(mapped, solution):
 
 class TestCascadeSpec:
     def test_full_ladder(self):
-        assert engine_cascade("fm+functional") == list(ENGINE_LADDER)
+        assert engine_cascade("fm+functional") == [a.value for a in Algorithm]
 
     def test_ladder_from_middle(self):
         assert engine_cascade("fm+traditional") == ["fm+traditional", "fm"]
@@ -359,7 +358,7 @@ class TestCli:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["engine"] in ENGINE_LADDER
+        assert payload["engine"] in [a.value for a in Algorithm]
         assert payload["run_log_summary"]["attempts"] >= 1
         assert isinstance(payload["run_log"], list)
 

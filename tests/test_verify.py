@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from repro.cache.codec import decode_solution, encode_solution
 from repro.netlist.benchmarks import benchmark_circuit
 from repro.partition.devices import Device, DeviceLibrary
-from repro.partition.kway import KWayConfig, T_OFF, partition_heterogeneous
+from repro.partition.kway import KWayConfig, partition_heterogeneous
 from repro.partition.verify import verify_solution
+from repro.replication.potential import T_INFINITY
 from repro.techmap.mapped import MappedCell, MappedNetlist, technology_map
 
 LIB = DeviceLibrary(
@@ -28,7 +29,7 @@ def mapped():
     return technology_map(benchmark_circuit("s5378", scale=0.12, seed=7))
 
 
-@pytest.mark.parametrize("threshold", [T_OFF, 0, 1, 2])
+@pytest.mark.parametrize("threshold", [T_INFINITY, 0, 1, 2])
 def test_solutions_verify_clean(mapped, threshold):
     sol = partition_heterogeneous(
         mapped,
@@ -254,7 +255,7 @@ def solved_docs(mapped):
     docs = []
     for netlist, threshold, seed in (
         (mapped, 1, 3),
-        (mapped, T_OFF, 4),
+        (mapped, T_INFINITY, 4),
         (mapped, 0, 5),
         (c6288, 2, 6),
     ):
